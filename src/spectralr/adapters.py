@@ -55,6 +55,8 @@ class MTFLTaskSet:
                 raise ValueError("all tasks must share the feature dimension")
             if x_t.shape[0] != y_t.size or y_t.size < 1:
                 raise ValueError("each task needs matching, nonempty X and y")
+            if not (np.all(np.isfinite(x_t)) and np.all(np.isfinite(y_t))):
+                raise ValueError(f"task {len(norm)}: non-finite X or y")
             norm.append((x_t, y_t))
         self.tasks = norm
 
@@ -82,6 +84,9 @@ class HankelProblem:
         if self.y_noisy.size != self.d + self.t - 1:
             raise ValueError(
                 f"need len(y) = d + t - 1 = {self.d + self.t - 1}, got {self.y_noisy.size}")
+        bad = np.flatnonzero(~np.isfinite(self.y_noisy))
+        if bad.size:
+            raise ValueError(f"y_noisy: non-finite value at index {bad[0]}")
 
 
 class ProblemAdapter:
@@ -186,7 +191,7 @@ class CompletionAdapter(_CompletionBase):
 
 class RobustCompletionAdapter(_CompletionBase):
     """Completion with a box-constrained dual from the absolute or
-    epsilon-insensitive loss; solved by cyclic coordinate descent."""
+    epsilon-insensitive loss; solved exactly by an active-set method."""
 
     def __init__(self, data, params, threads: int = 1, loss: str = "l1"):
         super().__init__(data, params, threads)

@@ -230,7 +230,7 @@ def _plant_outliers(matrix, fraction, magnitude, seed):
 def _run_solver(adapter, args, d):
     cfg = solvers.SolverConfig(
         max_outer_iters=args.max_outer, grad_norm_tol=args.grad_tol,
-        cert_every=args.cert_every, seed=args.seed)
+        cert_every=args.cert_every)
     u0 = solvers.initialize_point(adapter, d, args.rank, args.seed)
     solve = solvers.solve_tr if args.solver == "tr" else solvers.solve_cg
     t_start = time.perf_counter()
@@ -306,7 +306,10 @@ def cmd_hankel(args) -> int:
         if args.d is None or args.t_dim is None:
             raise CliError("--d and --T are required with --data for hankel")
         y_true = None
-        problem = adapters.HankelProblem(y_noisy, args.d, args.t_dim)
+        try:
+            problem = adapters.HankelProblem(y_noisy, args.d, args.t_dim)
+        except ValueError as exc:
+            raise CliError(f"--data: {exc}") from None
     else:
         raise CliError("one of --data or --synth is required")
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
@@ -337,7 +340,10 @@ def _load_tasks_npz(path, flag, standardize=False):
         i += 1
     if not tasks:
         raise CliError(f"{flag}: no X0/y0 arrays found in {path}")
-    return adapters.MTFLTaskSet(tasks)
+    try:
+        return adapters.MTFLTaskSet(tasks)
+    except ValueError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def cmd_mtfl(args) -> int:

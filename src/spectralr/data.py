@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +50,11 @@ class ColumnSparseMatrix:
                     raise ValueError(f"column {t_idx}: indices must be strictly increasing")
             self.col_indices[t_idx] = idx
             self.col_values[t_idx] = val
+        # one pass over all values; the per-column search runs only on failure
+        if self.t and not np.all(np.isfinite(np.concatenate(self.col_values))):
+            bad = next(t_idx for t_idx, val in enumerate(self.col_values)
+                       if not np.all(np.isfinite(val)))
+            raise ValueError(f"column {bad}: non-finite value")
 
     @property
     def nnz(self) -> int:
@@ -101,8 +107,8 @@ def load_triplets(path, d: int | None = None, t: int | None = None) -> ColumnSpa
 
     An optional first header line "%%d T nnz" fixes the dimensions;
     otherwise they come from the arguments or, failing that, the data.
-    Duplicate (row, col) pairs and out-of-range indices are errors reported
-    with their line number.
+    Duplicate (row, col) pairs, out-of-range indices and non-finite values
+    are errors reported with their line number.
     """
     rows, cols, vals = [], [], []
     header = None
@@ -130,6 +136,8 @@ def load_triplets(path, d: int | None = None, t: int | None = None) -> ColumnSpa
                 v = float(parts[2])
             except ValueError as exc:
                 raise TripletFormatError(f"line {lineno}: non-numeric field ({exc})") from None
+            if not np.isfinite(v):
+                raise TripletFormatError(f"line {lineno}: non-finite value {parts[2]!r}")
             if i < 1 or j < 1:
                 raise TripletFormatError(f"line {lineno}: indices are 1-based, got ({i}, {j})")
             rows.append(i - 1)
@@ -260,32 +268,38 @@ def synth_completion(d: int, t: int, rank: int, sample_fraction: float,
 # Hankel structure helpers and LTI impulse-response generator
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _antidiag_index(d: int, t: int) -> np.ndarray:
+    """Read-only d x t grid holding i + j, the anti-diagonal of each cell."""
+    grid = np.arange(d)[:, None] + np.arange(t)[None, :]
+    grid.setflags(write=False)
+    return grid
+
+
 def hankel_matrix(y: np.ndarray, d: int, t: int) -> np.ndarray:
     """d x t Hankel matrix with H[i, j] = y[i + j]; y has length d + t - 1."""
     y = np.asarray(y, dtype=float)
     if y.size != d + t - 1:
         raise ValueError(f"need len(y) = d + t - 1 = {d + t - 1}, got {y.size}")
-    i = np.arange(d)[:, None] + np.arange(t)[None, :]
-    return y[i]
+    return y[_antidiag_index(d, t)]
 
 
 def antidiag_sums(s: np.ndarray) -> np.ndarray:
     """Sum of each anti-diagonal of a d x t matrix (length d + t - 1)."""
     d, t = s.shape
-    i = (np.arange(d)[:, None] + np.arange(t)[None, :]).ravel()
-    return np.bincount(i, weights=s.ravel(), minlength=d + t - 1)
+    return np.bincount(_antidiag_index(d, t).ravel(), weights=s.ravel(),
+                       minlength=d + t - 1)
 
 
 def antidiag_spread(v: np.ndarray, d: int, t: int) -> np.ndarray:
     """Adjoint of antidiag_sums: place v[k] on every cell of anti-diagonal k."""
-    v = np.asarray(v, dtype=float)
-    i = np.arange(d)[:, None] + np.arange(t)[None, :]
-    return v[i]
+    return np.asarray(v, dtype=float)[_antidiag_index(d, t)]
 
 
 def antidiag_counts(d: int, t: int) -> np.ndarray:
-    return np.bincount((np.arange(d)[:, None] + np.arange(t)[None, :]).ravel(),
-                       minlength=d + t - 1).astype(float)
+    """Number of cells on each anti-diagonal of a d x t matrix."""
+    k = np.arange(d + t - 1)
+    return np.minimum(np.minimum(k + 1, d + t - 1 - k), min(d, t)).astype(float)
 
 
 def antidiag_means(w: np.ndarray) -> np.ndarray:

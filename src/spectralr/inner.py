@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .data import antidiag_spread, antidiag_sums
+from .data import antidiag_counts, antidiag_spread, antidiag_sums
 
 # Entries of sparse constraint duals below this are dropped.
 SPARSE_PRUNE = 1e-14
@@ -164,45 +164,87 @@ def apply_shifted_inverse(u_rows: np.ndarray, factor, c: float, w: np.ndarray) -
     return 2.0 * c * (w - u_rows @ cho_solve(factor, u_rows.T @ w))
 
 
-def soft_threshold(x: float, eps: float) -> float:
-    return np.sign(x) * max(abs(x) - eps, 0.0)
-
-
 def solve_column_box_cd(u_rows: np.ndarray, y: np.ndarray, c: float, eps: float,
                         tol: float, max_sweeps: int, z0: np.ndarray | None = None):
-    """Coordinate descent for max_{|z_i|<=C} <y,z> - eps*||z||_1 - 0.5||B^T z||^2.
+    """Exact solve of max_{|z_i|<=C} <y,z> - eps*||z||_1 - 0.5||B^T z||^2.
 
-    Coordinates sweep in ascending index order.  eps = 0 is the plain
-    absolute-loss dual and runs the identical arithmetic.  Coordinates with a
-    zero row take the boundary value C*sign of their (thresholded) slope.
-    Returns (z, converged).
+    Warm-started primal active-set method for convex QP (Nocedal and Wright,
+    Numerical Optimization, section 16.5).  Each coordinate is either fixed
+    (at exactly +-C, or at exactly 0 when eps > 0) or free.  With eps > 0 a
+    free coordinate keeps one sign, so the l1 term is linear on it and it
+    moves within [0, C] or [-C, 0]; with eps = 0 it moves within [-C, C].
+    Without a warm start z0 every coordinate starts fixed at C*sign(y_i), or
+    at 0 where |y_i| <= eps, which is optimal when B = 0.
+    B B^T has rank at most r, so the free block is usually singular: an
+    ascent direction in the null space of B_F^T is followed linearly to the
+    nearest bound, otherwise the Newton step pinv(B_F B_F^T) grad_F is taken
+    with a ratio test.  A bound that blocks either step becomes fixed.  Once
+    a Newton step fits whole, the fixed coordinate whose multiplier is most
+    wrong (z = C needs grad >= eps, z = -C needs grad <= -eps, z = 0 needs
+    |grad| <= eps) is freed; the solve stops when no violation exceeds
+    tol * max(1, ||y||_inf).  Every step is an ascent step.  max_sweeps caps
+    the active-set iterations.  Returns (z, converged).
     """
     n = y.size
     if n == 0:
         return np.empty(0), True
-    z = np.zeros(n) if z0 is None or z0.shape != y.shape else z0.copy()
-    np.clip(z, -c, c, out=z)
-    w = u_rows.T @ z
-    row_sq = np.einsum("ij,ij->i", u_rows, u_rows)
+    if z0 is None or z0.shape != y.shape:
+        z = np.where(np.abs(y) > eps, c * np.sign(y), 0.0)
+    else:
+        z = np.clip(z0, -c, c)
+    sign = np.sign(z)
+    free = np.abs(z) < c
+    if eps > 0.0:
+        free &= z != 0.0
+    thr = tol * max(1.0, float(np.max(np.abs(y))))
+    solved = False
     converged = False
     for _ in range(max_sweeps):
-        max_delta = 0.0
-        for i in range(n):
-            b_i = y[i] - u_rows[i] @ w + row_sq[i] * z[i]
+        idx = np.flatnonzero(free)
+        if not solved and idx.size:
+            b_f = u_rows[idx]
+            g_f = y[idx] - b_f @ (u_rows.T @ z) - eps * sign[idx]
+            basis, sv, _ = np.linalg.svd(b_f, full_matrices=False)
+            rank = int(np.count_nonzero(sv > sv[0] * max(b_f.shape) * np.finfo(float).eps))
+            basis, sv = basis[:, :rank], sv[:rank]
+            coef = basis.T @ g_f
+            step = np.zeros(idx.size)
+            if rank < idx.size:
+                # projected twice so that B_F^T step is round-off relative
+                # to the step itself, however small it is against g_F
+                step = g_f - basis @ coef
+                step -= basis @ (basis.T @ step)
+            newton = not np.max(np.abs(step)) > thr
+            if newton:
+                step = basis @ (coef / sv ** 2)
             if eps > 0.0:
-                b_i = soft_threshold(b_i, eps)
-            if row_sq[i] <= 0.0:
-                z_new = c * np.sign(b_i)
+                lo, hi = np.where(sign[idx] > 0, 0.0, -c), np.where(sign[idx] < 0, 0.0, c)
             else:
-                z_new = min(max(b_i / row_sq[i], -c), c)
-            delta = z_new - z[i]
-            if delta != 0.0:
-                w += u_rows[i] * delta
-                z[i] = z_new
-                max_delta = max(max_delta, abs(delta))
-        if max_delta <= tol:
+                lo, hi = np.full(idx.size, -c), np.full(idx.size, c)
+            z_f = z[idx]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(step > 0, (hi - z_f) / step,
+                                 np.where(step < 0, (lo - z_f) / step, np.inf))
+            k = int(np.argmin(ratio))
+            alpha = max(float(ratio[k]), 0.0)
+            if not (newton and alpha >= 1.0):
+                z[idx] = np.clip(z_f + alpha * step, lo, hi)
+                z[idx[k]] = hi[k] if step[k] > 0 else lo[k]
+                free[idx[k]] = False
+                continue
+            z[idx] = np.clip(z_f + step, lo, hi)
+        solved = True
+        grad = y - u_rows @ (u_rows.T @ z)
+        viol = np.where(z == c, eps - grad,
+                        np.where(z == -c, grad + eps, np.abs(grad) - eps))
+        viol[free] = -np.inf
+        j = int(np.argmax(viol))
+        if not viol[j] > thr:
             converged = True
             break
+        free[j] = True
+        sign[j] = np.sign(z[j]) if z[j] != 0.0 else np.sign(grad[j])
+        solved = False
     return z, converged
 
 
@@ -300,8 +342,7 @@ def solve_hankel(u_full: np.ndarray, y: np.ndarray, c: float, tol: float,
     Returns (z, converged).
     """
     d = u_full.shape[0]
-    counts = np.bincount((np.arange(d)[:, None] + np.arange(t)[None, :]).ravel(),
-                         minlength=d + t - 1).astype(float)
+    counts = antidiag_counts(d, t)
     target = tol * max(np.linalg.norm(y), 1e-300)
     z = np.zeros_like(y) if z0 is None or z0.shape != y.shape else z0.copy()
 
@@ -335,8 +376,7 @@ def hankel_directional(u_full: np.ndarray, c: float, rhs: np.ndarray,
                        scale: float) -> np.ndarray:
     """Solve the same SPD system with a perturbation right-hand side."""
     d = u_full.shape[0]
-    counts = np.bincount((np.arange(d)[:, None] + np.arange(t)[None, :]).ravel(),
-                         minlength=d + t - 1).astype(float)
+    counts = antidiag_counts(d, t)
     target = tol * max(scale, float(np.linalg.norm(rhs)), 1e-300)
     z = np.zeros_like(rhs)
     res = rhs.copy()
@@ -381,8 +421,8 @@ def assemble_hess_vec(u_mat: np.ndarray, v_mat: np.ndarray,
 
 
 def _interior_box_coords(z: np.ndarray, c: float, eps: float) -> np.ndarray:
-    # CD writes clipped coordinates as exactly +-C and thresholded ones as
-    # exactly 0, so boundary ties are exact float comparisons here.
+    # The box solver writes fixed coordinates as exactly +-C or exactly 0,
+    # so boundary ties are exact float comparisons here.
     inactive = np.abs(z) < c
     if eps > 0.0:
         inactive &= z != 0.0

@@ -53,7 +53,6 @@ class SolverConfig:
     tcg_kappa: float = 0.1
     tcg_theta: float = 1.0
     cert_every: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_outer_iters < 0 or self.max_line_search < 1:

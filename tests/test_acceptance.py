@@ -224,7 +224,7 @@ def test_criterion_05_inner_solver_oracles():
         obj_or, _, _ = nonneg_enum_oracle(u, omega, yv, c)
         worst_nn = max(worst_nn, abs(obj_bb - obj_or) / max(1.0, abs(obj_or)))
     ok = worst_cd <= 1e-6 and worst_nn <= 1e-6
-    report(5, ok, f"CD vs projected-gradient worst |dz| {worst_cd:.1e}, "
+    report(5, ok, f"box active set vs projected-gradient worst |dz| {worst_cd:.1e}, "
                   f"NNLS vs enumeration worst objective error {worst_nn:.1e} "
                   f"(tol 1e-6, 100 instances each)")
 

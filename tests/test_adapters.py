@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralr import adapters as ad
 from spectralr import inner
@@ -99,6 +101,43 @@ class TestEvaluateG:
         assert out[0] == out[1]
 
 
+def box_active_set_margin(adapter, point, cert):
+    """Smallest distance of any column from a change of its box active set:
+    multiplier slack of fixed coordinates, distance to the nearest bound of
+    free ones."""
+    c, eps = adapter.params.c, adapter._eps
+    worst = np.inf
+    for t_idx, idx in enumerate(adapter.data.col_indices):
+        if idx.size == 0:
+            continue
+        u_rows, z = point.u[idx], cert.z[t_idx]
+        grad = adapter.data.col_values[t_idx] - u_rows @ (u_rows.T @ z)
+        free_room = c - np.abs(z) if eps == 0.0 else np.minimum(c - np.abs(z), np.abs(z))
+        margin = np.where(z == c, grad - eps,
+                          np.where(z == -c, -grad - eps,
+                                   np.where(z == 0, eps - np.abs(grad), free_room)))
+        worst = min(worst, float(np.min(margin)))
+    return worst
+
+
+class TestBoxHessian:
+    @pytest.mark.parametrize("kind, eps", [("robust_l1", 0.0), ("robust_eps_svr", 0.2)])
+    @pytest.mark.parametrize("point_seed", [21, 22])
+    def test_hessian_matches_finite_differences(self, kind, eps, point_seed):
+        from tests.test_acceptance import fd_hessian_errors
+        synth = synth_completion(8, 6, rank=2, sample_fraction=0.6, seed=3)
+        adapter = ad.make_completion_adapter(
+            kind, synth.train, inner.RegularizationParams(
+                c=5.0, epsilon=eps, inner_tol=1e-13, inner_max_iters=5000))
+        point = random_point(8, 2, rng(point_seed))
+        _, cert = adapter.evaluate_g(point)
+        # The box dual is piecewise quadratic in U: finite differences agree
+        # with the Hessian only where steps of 1e-5 keep every active set.
+        assert box_active_set_margin(adapter, point, cert) > 1e-3
+        worst_fd, worst_sym = fd_hessian_errors(adapter, point, n_dirs=6, seed=23)
+        assert worst_fd <= 1e-5 and worst_sym <= 1e-6
+
+
 class TestMTFLTypes:
     def test_dimension_mismatch_rejected(self):
         g = rng(14)
@@ -110,6 +149,30 @@ class TestMTFLTypes:
         g = rng(15)
         with pytest.raises(ValueError):
             ad.MTFLTaskSet([(g.standard_normal((0, 5)), g.standard_normal(0))])
+
+
+class TestNonFiniteRejected:
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(1, 4), st.integers(0, 10_000),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    def test_mtfl_task_named(self, n_tasks, seed, bad, in_x):
+        g = rng(seed)
+        tasks = [(g.standard_normal((3, 4)), g.standard_normal(3)) for _ in range(n_tasks)]
+        k = int(g.integers(n_tasks))
+        (tasks[k][0] if in_x else tasks[k][1]).flat[int(g.integers(3))] = bad
+        with pytest.raises(ValueError, match=f"task {k}: non-finite"):
+            ad.MTFLTaskSet(tasks)
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000),
+           st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_hankel_index_named(self, d, t, seed, bad):
+        g = rng(seed)
+        y = g.standard_normal(d + t - 1)
+        k = int(g.integers(y.size))
+        y[k] = bad
+        with pytest.raises(ValueError, match=f"index {k}$"):
+            ad.HankelProblem(y, d, t)
 
 
 class TestHankelProblemType:

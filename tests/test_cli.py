@@ -35,6 +35,18 @@ class TestErrors:
     def test_synth_requires_a_family(self, capsys):
         assert cli.main(["synth"]) == 1
 
+    def test_non_finite_inputs_name_the_flag(self, capsys, tmp_path):
+        signal = tmp_path / "y.txt"
+        signal.write_text("1.0\nnan\n2.0\n3.0\n")
+        assert cli.main(["hankel", "--data", str(signal), "--d", "2", "--T", "3",
+                         "--rank", "1", "--C", "1", "-o", str(tmp_path / "h")]) == 1
+        assert "--data: y_noisy: non-finite value at index 1" in capsys.readouterr().err
+        tasks = tmp_path / "tasks.npz"
+        np.savez(tasks, X0=np.ones((2, 3)), y0=np.array([1.0, np.inf]))
+        assert cli.main(["mtfl", "--data", str(tasks), "--rank", "1", "--C", "1",
+                         "-o", str(tmp_path / "m")]) == 1
+        assert "--data: task 0: non-finite" in capsys.readouterr().err
+
 
 class TestCompleteRun:
     def test_end_to_end_outputs(self, tmp_path):

@@ -40,6 +40,40 @@ class TestColumnSparseMatrix:
         assert np.count_nonzero(dense) == 3
 
 
+non_finite = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+class TestNonFiniteRejected:
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 10_000), non_finite)
+    def test_column_named(self, d, t, seed, bad):
+        rng = np.random.default_rng(seed)
+        flat = rng.permutation(d * t)[:max(1, d * t // 2)]
+        rows, cols = np.unravel_index(flat, (d, t))
+        vals = rng.standard_normal(flat.size)
+        k = int(rng.integers(flat.size))
+        vals[k] = bad
+        with pytest.raises(ValueError, match=f"column {cols[k]}: non-finite"):
+            ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
+
+    @settings(deadline=None, max_examples=25, derandomize=True)
+    @given(st.integers(1, 8), st.integers(0, 10_000),
+           st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999"]))
+    def test_triplet_file_line_named(self, n_lines, seed, text):
+        import tempfile
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(n_lines))
+        values = [f"{v:.17g}" for v in rng.standard_normal(n_lines)]
+        values[k] = text
+        lines = [f"{i + 1} 1 {v}" for i, v in enumerate(values)]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/m.txt"
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            with pytest.raises(TripletFormatError, match=f"line {k + 1}: non-finite"):
+                load_triplets(path, d=n_lines, t=1)
+
+
 class TestTripletIO:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "m.txt"

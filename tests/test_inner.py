@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectralr import inner
 from spectralr.data import antidiag_spread, antidiag_sums, hankel_matrix
@@ -29,7 +31,7 @@ def rng(seed=0):
 
 def ista_box_oracle(u_rows, y, c, eps, iters=100000):
     """Long-run proximal gradient on the box-constrained dual; the oracle
-    stays independent of the coordinate-descent path it checks.  Runs in
+    stays independent of the active-set solver it checks.  Runs in
     blocks until the iterate stops moving (or the budget is exhausted)."""
     n = y.size
     z = np.zeros(n)
@@ -163,6 +165,44 @@ class TestBoxCoordinateDescent:
             val = box_cd_objective(u_rows, y, 1.0, 0.1, z)
             assert val >= prev - 1e-12
             prev = val
+
+
+def box_kkt_violation(u_rows, y, c, eps, z):
+    """Largest violation of the box-dual optimality conditions at z."""
+    grad = y - u_rows @ (u_rows.T @ z)
+    viol = np.maximum(np.abs(z) - c, 0.0)
+    viol = np.where(z == c, np.maximum(eps - grad, 0.0), viol)
+    viol = np.where(z == -c, np.maximum(grad + eps, 0.0), viol)
+    viol = np.where((z > 0) & (z < c), np.abs(grad - eps), viol)
+    viol = np.where((z < 0) & (z > -c), np.abs(grad + eps), viol)
+    viol = np.where(z == 0, np.maximum(np.abs(grad) - eps, 0.0), viol)
+    return float(np.max(viol))
+
+
+class TestBoxKKT:
+    # Degenerate shapes: n well above r, repeated rows and zero rows make the
+    # free block singular, which is where the solver has to pivot.  Warm
+    # starts put coordinates on both bounds, at zero and inside the box.
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(1, 30), st.integers(1, 3), st.floats(0.05, 10.0),
+           st.sampled_from([0.0, 0.2]), st.sampled_from(["plain", "repeat", "zero"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_converges_to_kkt_point(self, n, r, c, eps, shape, warm, seed):
+        g = rng(seed)
+        u_rows = g.standard_normal((n, r)) / np.sqrt(n)
+        if shape == "repeat":
+            u_rows = u_rows[g.integers(0, max(1, n // 3), size=n)]
+        elif shape == "zero":
+            u_rows[g.random(n) < 0.3] = 0.0
+        y = g.standard_normal(n)
+        z0 = None
+        if warm:
+            z0 = g.uniform(-1.5 * c, 1.5 * c, size=n)
+            z0[g.random(n) < 0.2] = 0.0
+        tol = 1e-10
+        z, converged = solve_column_box_cd(u_rows, y, c, eps, tol, 10 * n + 50, z0)
+        assert converged
+        assert box_kkt_violation(u_rows, y, c, eps, z) <= tol * max(1.0, np.max(np.abs(y)))
 
 
 class TestEpsSvr:
