@@ -3,8 +3,9 @@ and Hessian-vector products to the solvers, plus prediction and metrics.
 
 Adapter kinds: completion, robust_l1, robust_eps_svr, nonneg_completion,
 hankel, mtfl.  All of them are deterministic given (point, data, params,
-warm start); per-column work may fan out over a thread pool but results are
-reduced in fixed column order.
+warm start).  Completion-family data and duals share one CSC layout: M is a
+scipy.sparse CSC matrix on the observation pattern (plus the nonzeros of S
+in the nonnegative case); Hankel and multi-task M are dense arrays.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import inner
 from .data import (
@@ -21,8 +23,6 @@ from .data import (
     hankel_matrix,
 )
 from .inner import (
-    ColumnSparseOperator,
-    DenseOperator,
     DualCertificate,
     GapReport,
     PrimalFactor,
@@ -94,9 +94,8 @@ class ProblemAdapter:
 
     kind: str = ""
 
-    def __init__(self, params: RegularizationParams, threads: int = 1):
+    def __init__(self, params: RegularizationParams):
         self.params = params
-        self.threads = threads
         self.last_certificate: DualCertificate | None = None
 
     def evaluate_g(self, point):
@@ -127,9 +126,24 @@ class ProblemAdapter:
         self.last_certificate = None
 
 
+def _csc_columns(d: int, rows: list, vals: list) -> sp.csc_matrix:
+    """d x len(rows) CSC matrix whose column t holds vals[t] at rows[t]."""
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([ix.size for ix in rows], out=indptr[1:])
+    return sp.csc_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                         shape=(d, len(rows)))
+
+
+def _dense_column(mat: sp.csc_matrix, t_idx: int) -> np.ndarray:
+    out = np.zeros(mat.shape[0])
+    lo, hi = mat.indptr[t_idx], mat.indptr[t_idx + 1]
+    out[mat.indices[lo:hi]] = mat.data[lo:hi]
+    return out
+
+
 class _CompletionBase(ProblemAdapter):
-    def __init__(self, data: ColumnSparseMatrix, params, threads: int = 1):
-        super().__init__(params, threads)
+    def __init__(self, data: ColumnSparseMatrix, params):
+        super().__init__(params)
         self.data = data
         self.d, self.t = data.d, data.t
 
@@ -138,6 +152,11 @@ class _CompletionBase(ProblemAdapter):
 
     def initialization_matrix(self):
         return self.data.to_scipy()
+
+    def _on_pattern(self, cols: list) -> sp.csc_matrix:
+        """CSC matrix with the observation pattern and per-column values."""
+        return sp.csc_matrix((np.concatenate(cols), self.data.indices, self.data.indptr),
+                             shape=(self.d, self.t))
 
     def _warm_z(self, t_idx):
         cert = self.last_certificate
@@ -154,47 +173,39 @@ class CompletionAdapter(_CompletionBase):
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
-
-        def one(t_idx):
-            idx, y = self.data.col_indices[t_idx], self.data.col_values[t_idx]
+        z_cols, factors = [], []
+        for t_idx in range(self.t):
+            idx, y = self.data.column(t_idx)
             z, factor = inner.solve_column_square(u[idx], y, c)
-            val = y @ z - z @ z / (4.0 * c) - 0.5 * np.sum((u[idx].T @ z) ** 2) \
-                if idx.size else 0.0
-            return z, factor, val
-
-        parts = inner.map_columns(one, self.t, self.threads)
-        z_cols = [p[0] for p in parts]
-        g = float(sum(p[2] for p in parts))
-        cert = DualCertificate(
-            kind=self.kind, g_value=g,
-            m_op=ColumnSparseOperator(self.d, self.t, self.data.col_indices, z_cols),
-            z=z_cols, factors=[p[1] for p in parts])
+            z_cols.append(z)
+            factors.append(factor)
+        m = self._on_pattern(z_cols)
+        k = u.T @ m
+        g = float(self.data.values @ m.data - m.data @ m.data / (4.0 * c)
+                  - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k,
+                               z=z_cols, factors=factors)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
         c = self.params.c
-
-        def one(t_idx):
-            idx = self.data.col_indices[t_idx]
-            if idx.size == 0:
-                return np.empty(0)
+        zdots = []
+        for t_idx in range(self.t):
+            idx, _ = self.data.column(t_idx)
             u_rows, v_rows, z = u[idx], v[idx], cert.z[t_idx]
             w = v_rows @ (u_rows.T @ z) + u_rows @ (v_rows.T @ z)
-            return -inner.apply_shifted_inverse(u_rows, cert.factors[t_idx], c, w)
-
-        zdots = inner.map_columns(one, self.t, self.threads)
-        mdot = ColumnSparseOperator(self.d, self.t, self.data.col_indices, zdots)
-        return inner.assemble_hess_vec(u, v, cert, mdot)
+            zdots.append(-inner.apply_shifted_inverse(u_rows, cert.factors[t_idx], c, w))
+        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdots))
 
 
 class RobustCompletionAdapter(_CompletionBase):
     """Completion with a box-constrained dual from the absolute or
     epsilon-insensitive loss; solved exactly by an active-set method."""
 
-    def __init__(self, data, params, threads: int = 1, loss: str = "l1"):
-        super().__init__(data, params, threads)
+    def __init__(self, data, params, loss: str = "l1"):
+        super().__init__(data, params)
         if loss not in ("l1", "eps_svr"):
             raise ValueError("loss must be 'l1' or 'eps_svr'")
         self.loss = loss
@@ -207,105 +218,83 @@ class RobustCompletionAdapter(_CompletionBase):
     def evaluate_g(self, point):
         u = _mat(point)
         c, eps = self.params.c, self._eps
-
-        def one(t_idx):
-            idx, y = self.data.col_indices[t_idx], self.data.col_values[t_idx]
+        z_cols, converged = [], True
+        for t_idx in range(self.t):
+            idx, y = self.data.column(t_idx)
             z, ok = inner.solve_column_box_cd(
                 u[idx], y, c, eps, self.params.inner_tol,
                 self.params.inner_max_iters, self._warm_z(t_idx))
-            return z, inner.box_cd_objective(u[idx], y, c, eps, z), ok
-
-        parts = inner.map_columns(one, self.t, self.threads)
-        z_cols = [p[0] for p in parts]
-        g = float(sum(p[1] for p in parts))
-        cert = DualCertificate(
-            kind=self.kind, g_value=g,
-            m_op=ColumnSparseOperator(self.d, self.t, self.data.col_indices, z_cols),
-            z=z_cols, converged=all(p[2] for p in parts))
+            z_cols.append(z)
+            converged = converged and ok
+        m = self._on_pattern(z_cols)
+        k = u.T @ m
+        g = float(self.data.values @ m.data - eps * np.sum(np.abs(m.data))
+                  - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k,
+                               z=z_cols, converged=converged)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
         c, eps = self.params.c, self._eps
-
-        def one(t_idx):
-            idx = self.data.col_indices[t_idx]
-            return inner.zdot_column_box(u[idx], v[idx], cert.z[t_idx], c, eps)
-
-        zdots = inner.map_columns(one, self.t, self.threads)
-        mdot = ColumnSparseOperator(self.d, self.t, self.data.col_indices, zdots)
-        return inner.assemble_hess_vec(u, v, cert, mdot)
+        zdots = []
+        for t_idx in range(self.t):
+            idx, _ = self.data.column(t_idx)
+            zdots.append(inner.zdot_column_box(u[idx], v[idx], cert.z[t_idx], c, eps))
+        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdots))
 
 
 class NonnegCompletionAdapter(_CompletionBase):
-    """Square-loss completion with entrywise nonnegativity duals s_t >= 0."""
+    """Square-loss completion with entrywise nonnegativity duals s_t >= 0.
+
+    M = Z + S, where Z lives on the observation pattern and S is stored as a
+    CSC matrix of its nonzero entries.
+    """
 
     kind = "nonneg_completion"
-
-    def _warm_s(self, t_idx):
-        cert = self.last_certificate
-        if cert is None or cert.s is None:
-            return None
-        idx, val = cert.s[t_idx]
-        s = np.zeros(self.d)
-        s[idx] = val
-        return s
-
-    def _combined_column(self, t_idx, omega, z, s):
-        col = np.zeros(self.d)
-        if omega.size:
-            col[omega] += z
-        col += s
-        nz = np.flatnonzero(np.abs(col) > 0.0)
-        return nz, col[nz]
 
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
-
-        def one(t_idx):
-            idx, y = self.data.col_indices[t_idx], self.data.col_values[t_idx]
+        warm = self.last_certificate
+        z_cols, s_rows, s_vals, factors, converged = [], [], [], [], True
+        for t_idx in range(self.t):
+            idx, y = self.data.column(t_idx)
             z, s, factor, ok = inner.solve_column_nonneg(
                 u, idx, y, c, self.params.inner_tol, self.params.inner_max_iters,
-                self._warm_s(t_idx))
-            m_r = (u[idx].T @ z if idx.size else 0.0) + u.T @ s
-            val = (y @ z - z @ z / (4.0 * c) if idx.size else 0.0) - 0.5 * np.sum(m_r ** 2)
+                None if warm is None else _dense_column(warm.s, t_idx))
             s[np.abs(s) < inner.SPARSE_PRUNE] = 0.0
-            return z, s, factor, float(val), ok
-
-        parts = inner.map_columns(one, self.t, self.threads)
-        g = float(sum(p[3] for p in parts))
-        m_idx, m_val, s_store = [], [], []
-        for t_idx, (z, s, _, _, _) in enumerate(parts):
-            nz, vals = self._combined_column(t_idx, self.data.col_indices[t_idx], z, s)
-            m_idx.append(nz)
-            m_val.append(vals)
             snz = np.flatnonzero(s)
-            s_store.append((snz, s[snz]))
-        cert = DualCertificate(
-            kind=self.kind, g_value=g,
-            m_op=ColumnSparseOperator(self.d, self.t, m_idx, m_val),
-            z=[p[0] for p in parts], s=s_store,
-            factors=[p[2] for p in parts], converged=all(p[4] for p in parts))
+            z_cols.append(z)
+            s_rows.append(snz)
+            s_vals.append(s[snz])
+            factors.append(factor)
+            converged = converged and ok
+        z_mat = self._on_pattern(z_cols)
+        s_mat = _csc_columns(self.d, s_rows, s_vals)
+        m = z_mat + s_mat
+        k = u.T @ m
+        g = float(self.data.values @ z_mat.data - z_mat.data @ z_mat.data / (4.0 * c)
+                  - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z_cols,
+                               s=s_mat, factors=factors, converged=converged)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
         c = self.params.c
-
-        def one(t_idx):
-            omega = self.data.col_indices[t_idx]
-            sidx, sval = cert.s[t_idx]
-            s = np.zeros(self.d)
-            s[sidx] = sval
-            zdot, sdot = inner.dot_column_nonneg(u, v, omega, cert.z[t_idx], s, c)
-            return self._combined_column(t_idx, omega, zdot, sdot)
-
-        parts = inner.map_columns(one, self.t, self.threads)
-        mdot = ColumnSparseOperator(self.d, self.t,
-                                    [p[0] for p in parts], [p[1] for p in parts])
+        zdots, sdot_rows, sdot_vals = [], [], []
+        for t_idx in range(self.t):
+            omega, _ = self.data.column(t_idx)
+            zdot, sdot = inner.dot_column_nonneg(
+                u, v, omega, cert.z[t_idx], _dense_column(cert.s, t_idx), c)
+            nz = np.flatnonzero(sdot)
+            zdots.append(zdot)
+            sdot_rows.append(nz)
+            sdot_vals.append(sdot[nz])
+        mdot = self._on_pattern(zdots) + _csc_columns(self.d, sdot_rows, sdot_vals)
         return inner.assemble_hess_vec(u, v, cert, mdot)
 
 
@@ -314,8 +303,8 @@ class HankelAdapter(ProblemAdapter):
 
     kind = "hankel"
 
-    def __init__(self, problem: HankelProblem, params, threads: int = 1):
-        super().__init__(params, threads)
+    def __init__(self, problem: HankelProblem, params):
+        super().__init__(params)
         self.problem = problem
         self.d, self.t = problem.d, problem.t
 
@@ -337,24 +326,24 @@ class HankelAdapter(ProblemAdapter):
             u, self.problem.y_noisy, c, self.params.inner_tol,
             self.params.inner_max_iters, self.t, warm)
         s_mat = inner.hankel_spread_dual(z, self._counts(), self.d, self.t)
-        g = float(z @ self.problem.y_noisy - z @ z / (4.0 * c)
-                  - 0.5 * np.sum((u.T @ s_mat) ** 2))
-        cert = DualCertificate(kind=self.kind, g_value=g,
-                               m_op=DenseOperator(s_mat), z=z, s=s_mat, converged=ok)
+        k = u.T @ s_mat
+        g = float(z @ self.problem.y_noisy - z @ z / (4.0 * c) - 0.5 * np.sum(k ** 2))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=s_mat, k=k,
+                               z=z, s=s_mat, converged=ok)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
-        s_mat = cert.m_op.m
+        s_mat = cert.m
         counts = self._counts()
-        rhs = -antidiag_sums(v @ (u.T @ s_mat) + u @ (v.T @ s_mat)) / counts
+        rhs = -antidiag_sums(v @ cert.k + u @ (v.T @ s_mat)) / counts
         zdot = inner.hankel_directional(
             u, self.params.c, rhs, self.params.inner_tol,
             self.params.inner_max_iters, self.t,
             float(np.linalg.norm(self.problem.y_noisy)))
         sdot = inner.hankel_spread_dual(zdot, counts, self.d, self.t)
-        return inner.assemble_hess_vec(u, v, cert, DenseOperator(sdot))
+        return inner.assemble_hess_vec(u, v, cert, sdot)
 
 
 class MTFLAdapter(ProblemAdapter):
@@ -362,8 +351,8 @@ class MTFLAdapter(ProblemAdapter):
 
     kind = "mtfl"
 
-    def __init__(self, taskset: MTFLTaskSet, params, threads: int = 1):
-        super().__init__(params, threads)
+    def __init__(self, taskset: MTFLTaskSet, params):
+        super().__init__(params)
         self.taskset = taskset
         self.d, self.t = taskset.d, taskset.t
 
@@ -376,37 +365,33 @@ class MTFLAdapter(ProblemAdapter):
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
-
-        def one(t_idx):
-            x_t, y_t = self.taskset.tasks[t_idx]
+        z_cols, factors, xus, m_cols, loss_part = [], [], [], [], 0.0
+        for x_t, y_t in self.taskset.tasks:
             xu = x_t @ u
             z, factor = inner.solve_column_square(xu, y_t, c)
-            val = y_t @ z - z @ z / (4.0 * c) - 0.5 * np.sum((xu.T @ z) ** 2)
-            return z, factor, xu, x_t.T @ z, float(val)
-
-        parts = inner.map_columns(one, self.t, self.threads)
-        g = float(sum(p[4] for p in parts))
-        m = np.column_stack([p[3] for p in parts])
-        cert = DualCertificate(kind=self.kind, g_value=g, m_op=DenseOperator(m),
-                               z=[p[0] for p in parts],
-                               factors=[p[1] for p in parts], xu=[p[2] for p in parts])
+            z_cols.append(z)
+            factors.append(factor)
+            xus.append(xu)
+            m_cols.append(x_t.T @ z)
+            loss_part += y_t @ z - z @ z / (4.0 * c)
+        m = np.column_stack(m_cols)
+        k = u.T @ m
+        g = float(loss_part - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z_cols,
+                               factors=factors, xu=xus)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         c = self.params.c
-
-        def one(t_idx):
-            x_t, _ = self.taskset.tasks[t_idx]
+        cols = []
+        for t_idx, (x_t, _) in enumerate(self.taskset.tasks):
             z, xu = cert.z[t_idx], cert.xu[t_idx]
             xv = x_t @ v
             w = xv @ (xu.T @ z) + xu @ (xv.T @ z)
             zdot = -inner.apply_shifted_inverse(xu, cert.factors[t_idx], c, w)
-            return x_t.T @ zdot
-
-        cols = inner.map_columns(one, self.t, self.threads)
-        mdot = DenseOperator(np.column_stack(cols))
-        return inner.assemble_hess_vec(_mat(point), v, cert, mdot)
+            cols.append(x_t.T @ zdot)
+        return inner.assemble_hess_vec(_mat(point), v, cert, np.column_stack(cols))
 
 
 # --------------------------------------------------------------------------
@@ -445,15 +430,15 @@ def metrics(y_true, y_pred, kind: str = "rmse") -> float:
 
 
 def make_completion_adapter(kind: str, data: ColumnSparseMatrix,
-                            params: RegularizationParams, threads: int = 1):
+                            params: RegularizationParams):
     if kind == "completion":
-        return CompletionAdapter(data, params, threads)
+        return CompletionAdapter(data, params)
     if kind == "robust_l1":
-        return RobustCompletionAdapter(data, params, threads, loss="l1")
+        return RobustCompletionAdapter(data, params, loss="l1")
     if kind == "robust_eps_svr":
-        return RobustCompletionAdapter(data, params, threads, loss="eps_svr")
+        return RobustCompletionAdapter(data, params, loss="eps_svr")
     if kind == "nonneg_completion":
-        return NonnegCompletionAdapter(data, params, threads)
+        return NonnegCompletionAdapter(data, params)
     raise ValueError(f"unknown completion kind {kind!r}")
 
 

@@ -16,6 +16,7 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import adapters, data, inner, solvers
 
@@ -70,15 +71,16 @@ def write_trace(path, records) -> None:
 
 
 def save_model(path, u_mat, cert: inner.DualCertificate) -> None:
+    """Write U, the kind, g and M: CSC arrays for sparse M, else m_dense."""
     payload = {"u": u_mat, "kind": np.array(cert.kind), "g_value": np.array(cert.g_value)}
-    m = cert.m_op
-    if isinstance(m, inner.DenseOperator):
-        payload["m_dense"] = m.m
+    m = cert.m
+    if sp.issparse(m):
+        payload["m_indices"] = m.indices
+        payload["m_values"] = m.data
+        payload["m_offsets"] = m.indptr
+        payload["shape"] = np.array(m.shape)
     else:
-        payload["m_indices"] = np.concatenate(m.idx) if m.t else np.empty(0, np.int64)
-        payload["m_values"] = np.concatenate(m.val) if m.t else np.empty(0)
-        payload["m_offsets"] = np.cumsum([0] + [ix.size for ix in m.idx])
-        payload["shape"] = np.array([m.d, m.t])
+        payload["m_dense"] = m
     np.savez(path, **payload)
 
 
@@ -88,14 +90,11 @@ def load_model(path):
         kind = str(blob["kind"])
         g_value = float(blob["g_value"])
         if "m_dense" in blob:
-            m_op = inner.DenseOperator(blob["m_dense"])
+            m = blob["m_dense"]
         else:
-            d, t = (int(x) for x in blob["shape"])
-            offs = blob["m_offsets"]
-            idx = [blob["m_indices"][offs[i]:offs[i + 1]] for i in range(t)]
-            val = [blob["m_values"][offs[i]:offs[i + 1]] for i in range(t)]
-            m_op = inner.ColumnSparseOperator(d, t, idx, val)
-    return u, inner.DualCertificate(kind=kind, g_value=g_value, m_op=m_op, z=None)
+            m = sp.csc_matrix((blob["m_values"], blob["m_indices"], blob["m_offsets"]),
+                              shape=tuple(int(x) for x in blob["shape"]))
+    return u, inner.DualCertificate(kind=kind, g_value=g_value, m=m, k=u.T @ m, z=None)
 
 
 def git_describe() -> str:
@@ -137,8 +136,6 @@ def _add_solver_flags(p):
     p.add_argument("--cert-every", type=int, default=0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output-dir", default=".")
-    p.add_argument("--threads", type=int, default=None,
-                   help="defaults to $SPECTRA_LR_THREADS or 1")
     p.add_argument("--verbose", action="store_true")
 
 
@@ -178,13 +175,6 @@ def build_parser() -> _Parser:
     p.add_argument("model_dir", help="directory holding model.npz")
     p.add_argument("--gap-tol", type=float, default=1e-6)
     return parser
-
-
-def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None) is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SPECTRA_LR_THREADS")
-    return max(1, int(env)) if env else 1
 
 
 def _load_completion_data(args):
@@ -280,8 +270,7 @@ def cmd_completion_family(args) -> int:
     train, test = _load_completion_data(args)
     params = inner.RegularizationParams(args.c, args.epsilon,
                                         args.inner_tol, args.inner_iters)
-    adapter = adapters.make_completion_adapter(kind, train, params,
-                                               _resolve_threads(args))
+    adapter = adapters.make_completion_adapter(kind, train, params)
     result, wall = _run_solver(adapter, args, train.d)
     test_metric = None
     if test is not None and test.nnz:
@@ -314,7 +303,7 @@ def cmd_hankel(args) -> int:
         raise CliError("one of --data or --synth is required")
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
                                         inner_max_iters=args.inner_iters)
-    adapter = adapters.HankelAdapter(problem, params, _resolve_threads(args))
+    adapter = adapters.HankelAdapter(problem, params)
     result, wall = _run_solver(adapter, args, problem.d)
     test_metric = None
     if y_true is not None:
@@ -350,7 +339,7 @@ def cmd_mtfl(args) -> int:
     taskset = _load_tasks_npz(args.data, "--data", args.standardize)
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
                                         inner_max_iters=args.inner_iters)
-    adapter = adapters.MTFLAdapter(taskset, params, _resolve_threads(args))
+    adapter = adapters.MTFLAdapter(taskset, params)
     result, wall = _run_solver(adapter, args, taskset.d)
     test_metric = None
     if args.test_data:

@@ -6,7 +6,7 @@ Indices are 0-based internally; triplet files on disk are 1-based.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,64 +19,70 @@ import scipy.sparse as sp
 
 @dataclass
 class ColumnSparseMatrix:
-    """Partially observed d x T matrix stored per column.
+    """Partially observed d x T matrix in compressed sparse column layout.
 
-    col_indices[t] holds the strictly increasing observed row indices of
-    column t and col_values[t] the matching values.
+    Column t holds the strictly increasing row indices
+    indices[indptr[t]:indptr[t + 1]] and the matching values.
     """
 
     d: int
     t: int
-    col_indices: list = field(default_factory=list)
-    col_values: list = field(default_factory=list)
+    indptr: np.ndarray | None = None
+    indices: np.ndarray | None = None
+    values: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d < 0 or self.t < 0:
             raise ValueError("dimensions must be nonnegative")
-        if not self.col_indices and self.t > 0:
-            self.col_indices = [np.empty(0, dtype=np.int64) for _ in range(self.t)]
-            self.col_values = [np.empty(0, dtype=float) for _ in range(self.t)]
-        if len(self.col_indices) != self.t or len(self.col_values) != self.t:
-            raise ValueError("need one index/value array per column")
-        for t_idx in range(self.t):
-            idx = np.asarray(self.col_indices[t_idx], dtype=np.int64)
-            val = np.asarray(self.col_values[t_idx], dtype=float)
-            if idx.shape != val.shape:
-                raise ValueError(f"column {t_idx}: index/value length mismatch")
-            if idx.size:
-                if idx.min() < 0 or idx.max() >= self.d:
-                    raise ValueError(f"column {t_idx}: row index out of range")
-                if np.any(np.diff(idx) <= 0):
-                    raise ValueError(f"column {t_idx}: indices must be strictly increasing")
-            self.col_indices[t_idx] = idx
-            self.col_values[t_idx] = val
-        # one pass over all values; the per-column search runs only on failure
-        if self.t and not np.all(np.isfinite(np.concatenate(self.col_values))):
-            bad = next(t_idx for t_idx, val in enumerate(self.col_values)
-                       if not np.all(np.isfinite(val)))
-            raise ValueError(f"column {bad}: non-finite value")
+        if self.indptr is None:
+            self.indptr = np.zeros(self.t + 1, dtype=np.int64)
+            self.indices = np.empty(0, dtype=np.int64)
+            self.values = np.empty(0, dtype=float)
+        self.indptr = np.asarray(self.indptr, dtype=np.int64)
+        self.indices = np.asarray(self.indices, dtype=np.int64)
+        self.values = np.asarray(self.values, dtype=float)
+        nnz = self.indices.size
+        if (self.indptr.shape != (self.t + 1,) or self.indptr[0] != 0
+                or self.indptr[-1] != nnz or np.any(np.diff(self.indptr) < 0)):
+            raise ValueError("indptr must rise from 0 to nnz over t + 1 entries")
+        if self.values.shape != self.indices.shape:
+            raise ValueError("indices and values differ in length")
+        descending = np.zeros(nnz, dtype=bool)
+        descending[1:] = np.diff(self.indices) <= 0
+        # the first entry of a column may lie below the last of the one before
+        descending[self.indptr[:-1][self.indptr[:-1] < nnz]] = False
+        checks = (
+            ((self.indices < 0) | (self.indices >= self.d), "row index out of range"),
+            (descending, "indices must be strictly increasing"),
+            (~np.isfinite(self.values), "non-finite value"),
+        )
+        for bad, what in checks:
+            if np.any(bad):
+                col = int(np.searchsorted(self.indptr, np.argmax(bad), side="right")) - 1
+                raise ValueError(f"column {col}: {what}")
 
     @property
     def nnz(self) -> int:
-        return int(sum(idx.size for idx in self.col_indices))
+        return int(self.indices.size)
+
+    def column(self, t_idx: int):
+        """(row indices, values) of column t_idx, as views."""
+        lo, hi = self.indptr[t_idx], self.indptr[t_idx + 1]
+        return self.indices[lo:hi], self.values[lo:hi]
 
     def to_coo(self):
-        """Return (rows, cols, values) arrays in column-major order."""
-        rows = np.concatenate([idx for idx in self.col_indices]) if self.t else np.empty(0, np.int64)
-        cols = np.concatenate([np.full(idx.size, t_idx, dtype=np.int64)
-                               for t_idx, idx in enumerate(self.col_indices)]) \
-            if self.t else np.empty(0, np.int64)
-        vals = np.concatenate([v for v in self.col_values]) if self.t else np.empty(0, float)
-        return rows, cols, vals
+        """Return (rows, cols, values) arrays in column-major order; rows and
+        values are the stored arrays, not copies."""
+        cols = np.repeat(np.arange(self.t, dtype=np.int64), np.diff(self.indptr))
+        return self.indices, cols, self.values
 
     def to_scipy(self) -> sp.csc_matrix:
-        rows, cols, vals = self.to_coo()
-        return sp.csc_matrix((vals, (rows, cols)), shape=(self.d, self.t))
+        return sp.csc_matrix((self.values, self.indices, self.indptr), shape=(self.d, self.t))
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.d, self.t))
-        for t_idx, (idx, val) in enumerate(zip(self.col_indices, self.col_values)):
-            out[idx, t_idx] = val
+        rows, cols, vals = self.to_coo()
+        out[rows, cols] = vals
         return out
 
     @staticmethod
@@ -84,14 +90,15 @@ class ColumnSparseMatrix:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=float)
-        col_indices, col_values = [], []
+        if not rows.shape == cols.shape == vals.shape:
+            raise ValueError("rows, cols and vals differ in length")
+        bad = np.flatnonzero((cols < 0) | (cols >= t))
+        if bad.size:
+            raise ValueError(f"column index {cols[bad[0]]} outside [0, {t})")
         order = np.lexsort((rows, cols))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        for t_idx in range(t):
-            m = cols == t_idx
-            col_indices.append(rows[m])
-            col_values.append(vals[m])
-        return ColumnSparseMatrix(d, t, col_indices, col_values)
+        indptr = np.zeros(t + 1, dtype=np.int64)
+        np.cumsum(np.bincount(cols, minlength=t), out=indptr[1:])
+        return ColumnSparseMatrix(d, t, indptr, rows[order], vals[order])
 
 
 # --------------------------------------------------------------------------
@@ -166,10 +173,8 @@ def save_triplets(path, matrix: ColumnSparseMatrix, header: bool = True) -> None
     with open(path, "w", encoding="utf-8") as fh:
         if header:
             fh.write(f"%%{matrix.d} {matrix.t} {matrix.nnz}\n")
-        for t_idx in range(matrix.t):
-            idx, val = matrix.col_indices[t_idx], matrix.col_values[t_idx]
-            for i, v in zip(idx, val):
-                fh.write(f"{i + 1} {t_idx + 1} {v:.17g}\n")
+        for i, j, v in zip(*matrix.to_coo()):
+            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
 
 # --------------------------------------------------------------------------

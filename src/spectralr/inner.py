@@ -4,14 +4,13 @@ For a fixed manifold point U, each application solves an inner problem over
 dual variables {Z, s}; the composite M = Z + A*(s) then yields the objective
 value, the Euclidean gradient -M M^T U, directional derivatives for
 Hessian-vector products, the optimality gap, and the primal reconstruction
-W = U U^T M.  M is kept in sparse per-column or factored form and never
-materialized as a dense d x T product with its transpose.
+W = U U^T M.  M is a scipy.sparse CSC matrix or a dense array, and M M^T is
+never formed.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,104 +21,27 @@ from .data import antidiag_counts, antidiag_spread, antidiag_sums
 SPARSE_PRUNE = 1e-14
 
 
-def map_columns(fn, count: int, threads: int = 1) -> list:
-    """Apply fn to 0..count-1, optionally on a thread pool, order preserved."""
-    if threads <= 1 or count <= 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, range(count)))
-
-
-# --------------------------------------------------------------------------
-# composite dual operators
-# --------------------------------------------------------------------------
-
-class ColumnSparseOperator:
-    """M with per-column sparse support: column t holds val[t] at rows idx[t]."""
-
-    def __init__(self, d: int, t: int, idx: list, val: list):
-        self.d, self.t = d, t
-        self.idx, self.val = idx, val
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.d)
-        for t_idx in range(self.t):
-            if self.idx[t_idx].size:
-                out[self.idx[t_idx]] += self.val[t_idx] * v[t_idx]
-        return out
-
-    def rmatvec(self, u: np.ndarray) -> np.ndarray:
-        return np.array([self.val[t] @ u[self.idx[t]] if self.idx[t].size else 0.0
-                         for t in range(self.t)])
-
-    def ut_m(self, u_mat: np.ndarray) -> np.ndarray:
-        """U^T M as an r x T array."""
-        out = np.zeros((u_mat.shape[1], self.t))
-        for t_idx in range(self.t):
-            if self.idx[t_idx].size:
-                out[:, t_idx] = u_mat[self.idx[t_idx]].T @ self.val[t_idx]
-        return out
-
-    def m_mat(self, a: np.ndarray) -> np.ndarray:
-        """M @ a for a T x r array, exploiting column sparsity."""
-        out = np.zeros((self.d, a.shape[1]))
-        for t_idx in range(self.t):
-            if self.idx[t_idx].size:
-                out[self.idx[t_idx]] += np.outer(self.val[t_idx], a[t_idx])
-        return out
-
-    def frob_norm(self) -> float:
-        return float(np.sqrt(sum(v @ v for v in self.val)))
-
-
-class DenseOperator:
-    """M held as a dense d x T array (Hankel S, multi-task composites)."""
-
-    def __init__(self, m: np.ndarray):
-        self.m = m
-        self.d, self.t = m.shape
-
-    def matvec(self, v):
-        return self.m @ v
-
-    def rmatvec(self, u):
-        return self.m.T @ u
-
-    def ut_m(self, u_mat):
-        return u_mat.T @ self.m
-
-    def m_mat(self, a):
-        return self.m @ a
-
-    def frob_norm(self) -> float:
-        return float(np.linalg.norm(self.m))
-
-
 @dataclass
 class DualCertificate:
-    """Optimal inner duals at a point, plus caches reused by derivatives.
+    """Optimal inner duals at a point U, and what derivatives reuse.
 
-    z is the loss dual (per-column arrays; a single vector for Hankel),
-    s the constraint dual (per-column (indices, values) pairs for the
-    nonnegative case, the dense d x T matrix for Hankel, else None).
+    m is the composite dual M: a scipy.sparse CSC matrix for the completion
+    family, a dense d x T array for Hankel and multi-task learning.  k is
+    U^T M at the point, computed once where M is built.  z is the loss dual
+    (per-column arrays; a single vector for Hankel), s the constraint dual
+    (a CSC matrix for the nonnegative case, the dense d x T matrix for
+    Hankel, else None).
     """
 
     kind: str
     g_value: float
-    m_op: object
+    m: object
+    k: np.ndarray
     z: object
     s: object = None
     factors: list | None = None      # per-column Cholesky of the r x r system
     xu: list | None = None           # multi-task: cached X_t @ U blocks
     converged: bool = True
-    _k_cache: dict = field(default_factory=dict, repr=False)
-
-    def ut_m(self, u_mat: np.ndarray) -> np.ndarray:
-        import zlib
-        key = zlib.crc32(np.ascontiguousarray(u_mat).tobytes())
-        if key not in self._k_cache:
-            self._k_cache[key] = self.m_op.ut_m(u_mat)
-        return self._k_cache[key]
 
 
 @dataclass(frozen=True)
@@ -403,21 +325,22 @@ def hankel_directional(u_full: np.ndarray, c: float, rhs: np.ndarray,
 # --------------------------------------------------------------------------
 
 def euc_gradient(u_mat: np.ndarray, cert: DualCertificate) -> np.ndarray:
-    """Euclidean gradient of g at U: -M (M^T U), never forming M M^T."""
-    k = cert.ut_m(u_mat)
-    return -cert.m_op.m_mat(k.T)
+    """Euclidean gradient of g at U: -M (M^T U), never forming M M^T.
+
+    cert must come from evaluate_g at u_mat, so that cert.k = U^T M.
+    """
+    return -(cert.m @ cert.k.T)
 
 
 def assemble_hess_vec(u_mat: np.ndarray, v_mat: np.ndarray,
-                      cert: DualCertificate, mdot_op) -> np.ndarray:
+                      cert: DualCertificate, mdot) -> np.ndarray:
     """Directional derivative of the gradient from M and its derivative Mdot.
 
     D grad[V] = -(Mdot M^T U + M Mdot^T U + M M^T V).
     """
-    k = cert.ut_m(u_mat)
-    k_dot = mdot_op.ut_m(u_mat)
-    k_v = cert.m_op.ut_m(v_mat)
-    return -(mdot_op.m_mat(k.T) + cert.m_op.m_mat((k_dot + k_v).T))
+    k_dot = u_mat.T @ mdot
+    k_v = v_mat.T @ cert.m
+    return -(mdot @ cert.k.T + cert.m @ (k_dot + k_v).T)
 
 
 def _interior_box_coords(z: np.ndarray, c: float, eps: float) -> np.ndarray:
@@ -493,21 +416,23 @@ class GapReport:
     power_converged: bool
 
 
-def top_singular_value_sq(m_op, block: int = 4, tol: float = 1e-13,
+def top_singular_value_sq(m, block: int = 4, tol: float = 1e-13,
                           max_iters: int = 500) -> tuple[float, bool]:
     """Largest eigenvalue of M^T M (or M M^T) by block power iteration.
 
     A single power vector converges too slowly when the top of the spectrum
     is clustered, which is exactly the near-optimal regime here, so a small
     deterministic block is iterated instead (column 0 is the all-ones
-    direction).  Convergence is certified by the top Ritz residual, which
-    brackets the true eigenvalue within +-residual.
+    direction).  Each step applies M and M^T to the whole block.
+    Convergence is certified by the top Ritz residual, which brackets the
+    true eigenvalue within +-residual.
     """
-    small = min(m_op.d, m_op.t)
-    if m_op.d <= m_op.t:
-        op = lambda x: m_op.matvec(m_op.rmatvec(x))
+    d, t = m.shape
+    small = min(d, t)
+    if d <= t:
+        op = lambda x: m @ (m.T @ x)
     else:
-        op = lambda x: m_op.rmatvec(m_op.matvec(x))
+        op = lambda x: m.T @ (m @ x)
     b = min(block, small)
     basis = np.ones((small, b))
     for j in range(1, b):
@@ -517,7 +442,7 @@ def top_singular_value_sq(m_op, block: int = 4, tol: float = 1e-13,
     lam = 0.0
     converged = False
     for _ in range(max_iters):
-        image = np.column_stack([op(basis[:, j]) for j in range(basis.shape[1])])
+        image = op(basis)
         small_h = basis.T @ image
         small_h = 0.5 * (small_h + small_h.T)
         evals, evecs = np.linalg.eigh(small_h)
@@ -538,15 +463,15 @@ def duality_gap(u_mat: np.ndarray, cert: DualCertificate,
                 power_tol: float = 1e-13, max_power_iters: int = 500) -> GapReport:
     """Optimality gap 0.5*(sigma_1(M)^2 - ||U^T M||_F^2) of the current point.
 
+    cert must come from evaluate_g at u_mat, so that cert.k = U^T M.
     sigma_1 comes from block power iteration on M^T M (or M M^T, whichever
     side is smaller); the block covers the rank so clustered top singular
     values still resolve.  The relative gap divides by max(1, |g|).
     """
-    m = cert.m_op
-    k = cert.ut_m(u_mat)
+    k = cert.k
     ut_m_sq = float(np.sum(k * k))
-    block = min(k.shape[0] + 3, m.d, m.t)
-    lam, converged = top_singular_value_sq(m, block, power_tol, max_power_iters)
+    block = min(k.shape[0] + 3, *cert.m.shape)
+    lam, converged = top_singular_value_sq(cert.m, block, power_tol, max_power_iters)
     sigma1 = float(np.sqrt(lam))
     gap = 0.5 * (lam - ut_m_sq)
     rel = gap / max(1.0, abs(cert.g_value))
@@ -571,7 +496,8 @@ class PrimalFactor:
 
 
 def reconstruct_primal(u_mat: np.ndarray, cert: DualCertificate) -> PrimalFactor:
-    return PrimalFactor(u_mat, cert.ut_m(u_mat))
+    """W = U K at the point cert was built at."""
+    return PrimalFactor(u_mat, cert.k)
 
 
 # --------------------------------------------------------------------------
@@ -593,18 +519,14 @@ def primal_objective(w: np.ndarray, kind: str, data, params: RegularizationParam
     """
     c, eps = params.c, params.epsilon
     if kind in ("completion", "robust_l1", "robust_eps_svr", "nonneg_completion"):
-        loss = 0.0
-        for t_idx in range(data.t):
-            idx, y = data.col_indices[t_idx], data.col_values[t_idx]
-            if idx.size == 0:
-                continue
-            resid = y - w[idx, t_idx]
-            if kind == "robust_l1":
-                loss += np.sum(np.abs(resid))
-            elif kind == "robust_eps_svr":
-                loss += np.sum(np.maximum(np.abs(resid) - eps, 0.0))
-            else:
-                loss += np.sum(resid ** 2)
+        rows, cols, y = data.to_coo()
+        resid = y - w[rows, cols]
+        if kind == "robust_l1":
+            loss = np.sum(np.abs(resid))
+        elif kind == "robust_eps_svr":
+            loss = np.sum(np.maximum(np.abs(resid) - eps, 0.0))
+        else:
+            loss = np.sum(resid ** 2)
     elif kind == "hankel":
         from .data import antidiag_means
         loss = float(np.sum((np.asarray(data) - antidiag_means(w)) ** 2))

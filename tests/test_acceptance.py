@@ -56,7 +56,7 @@ def test_criterion_01_completion_rmse(completion_run):
     rows, cols, vals = synth.test.to_coo()
     factor = adapter.reconstruct(result.point, result.certificate)
     rmse = adapters.metrics(vals, factor.entries(rows, cols), "rmse")
-    data_rms = float(np.sqrt(np.mean(np.concatenate(synth.train.col_values) ** 2)))
+    data_rms = float(np.sqrt(np.mean(synth.train.values ** 2)))
     ok = rmse <= 1e-6 * data_rms and elapsed < 120.0
     report(1, ok, f"test rmse {rmse:.3e} <= 1e-6 * rms {data_rms:.3f}, "
                   f"{elapsed:.1f}s (limit 120s), single-threaded TR")

@@ -107,11 +107,12 @@ def box_active_set_margin(adapter, point, cert):
     free ones."""
     c, eps = adapter.params.c, adapter._eps
     worst = np.inf
-    for t_idx, idx in enumerate(adapter.data.col_indices):
+    for t_idx in range(adapter.t):
+        idx, y = adapter.data.column(t_idx)
         if idx.size == 0:
             continue
         u_rows, z = point.u[idx], cert.z[t_idx]
-        grad = adapter.data.col_values[t_idx] - u_rows @ (u_rows.T @ z)
+        grad = y - u_rows @ (u_rows.T @ z)
         free_room = c - np.abs(z) if eps == 0.0 else np.minimum(c - np.abs(z), np.abs(z))
         margin = np.where(z == c, grad - eps,
                           np.where(z == -c, -grad - eps,
@@ -191,16 +192,15 @@ class TestPredictions:
         m = g.standard_normal((6, 5))
         u = g.standard_normal((6, 2))
         u /= np.linalg.norm(u)
-        cert = inner.DualCertificate(kind="completion", g_value=0.0,
-                                     m_op=inner.DenseOperator(m), z=None)
+        cert = inner.DualCertificate(kind="completion", g_value=0.0, m=m, k=u.T @ m, z=None)
         return inner.reconstruct_primal(u, cert), u, m
 
     def test_predict_zero_m(self):
         g = rng(17)
         u = g.standard_normal((4, 2))
         u /= np.linalg.norm(u)
-        cert = inner.DualCertificate(kind="completion", g_value=0.0,
-                                     m_op=inner.DenseOperator(np.zeros((4, 3))), z=None)
+        cert = inner.DualCertificate(kind="completion", g_value=0.0, m=np.zeros((4, 3)),
+                                     k=np.zeros((2, 3)), z=None)
         factor = inner.reconstruct_primal(u, cert)
         assert np.allclose(ad.predict_completion(factor, [0, 1], [0, 2]), 0.0)
 
@@ -214,7 +214,7 @@ class TestPredictions:
         factor, u, m = self._solved_factor()
         assert ad.predict_mtfl(factor, 0, np.zeros(6)) == 0.0
         zero = inner.reconstruct_primal(u, inner.DualCertificate(
-            kind="mtfl", g_value=0.0, m_op=inner.DenseOperator(np.zeros((6, 5))), z=None))
+            kind="mtfl", g_value=0.0, m=np.zeros((6, 5)), k=np.zeros((2, 5)), z=None))
         assert ad.predict_mtfl(zero, 2, rng(18).standard_normal(6)) == 0.0
 
     def test_predict_mtfl_matches_dense(self):

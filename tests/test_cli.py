@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from spectralr import cli, inner
 
@@ -78,18 +79,6 @@ class TestCompleteRun:
             traces.append(read_trace_without_elapsed(os.path.join(out, "trace.csv")))
         assert traces[0] == traces[1]
 
-    def test_threads_flag_does_not_change_numbers(self, tmp_path):
-        traces = []
-        for name, threads in (("t1", "1"), ("t4", "4")):
-            out = str(tmp_path / name)
-            code = cli.main(["complete", "--synth", "d=15,T=12,r=2,frac=0.5",
-                             "--rank", "2", "--C", "1e3", "--cert-every", "3",
-                             "--seed", "7", "--max-outer", "30",
-                             "--threads", threads, "-o", out])
-            assert code == 0
-            traces.append(read_trace_without_elapsed(os.path.join(out, "trace.csv")))
-        assert traces[0] == traces[1]
-
     def test_triplet_data_input(self, tmp_path):
         data_dir = str(tmp_path / "data")
         assert cli.main(["synth", "--completion", "d=12,T=10,r=2,frac=0.6",
@@ -145,8 +134,7 @@ class TestCheckCert:
         # diag(3, 4) example: sigma1 = 4, gap = (16 - 9)/2 = 3.5
         u = np.array([[1.0], [0.0]])
         m = np.diag([3.0, 4.0])
-        cert = inner.DualCertificate(kind="completion", g_value=1.0,
-                                     m_op=inner.DenseOperator(m), z=None)
+        cert = inner.DualCertificate(kind="completion", g_value=1.0, m=m, k=u.T @ m, z=None)
         out = str(tmp_path / "model")
         os.makedirs(out)
         cli.save_model(os.path.join(out, "model.npz"), u, cert)
@@ -159,13 +147,12 @@ class TestCheckCert:
         assert lib.gap == pytest.approx(3.5, abs=1e-9)
 
     def test_sparse_model_round_trip(self, tmp_path):
-        idx = [np.array([0, 2]), np.array([1])]
-        val = [np.array([1.5, -2.0]), np.array([0.5])]
-        cert = inner.DualCertificate(
-            kind="completion", g_value=2.0,
-            m_op=inner.ColumnSparseOperator(3, 2, idx, val), z=val)
+        m = sp.csc_matrix((np.array([1.5, -2.0, 0.5]), np.array([0, 2, 1]),
+                           np.array([0, 2, 3])), shape=(3, 2))
         u = np.zeros((3, 2))
         u[0, 0] = 1.0
+        cert = inner.DualCertificate(kind="completion", g_value=2.0, m=m, k=u.T @ m,
+                                     z=None)
         out = str(tmp_path / "model")
         os.makedirs(out)
         cli.save_model(os.path.join(out, "model.npz"), u, cert)
@@ -175,12 +162,34 @@ class TestCheckCert:
         report_b = inner.duality_gap(u2, cert2)
         assert report_a.gap == pytest.approx(report_b.gap, rel=1e-12)
 
+    def test_reads_hand_written_model_files(self, tmp_path, capsys):
+        # the model.npz keys as earlier versions wrote them, one sparse and
+        # one dense file; check-cert must print the library's gap for both
+        u = np.zeros((3, 2))
+        u[0, 0], u[1, 1] = 0.6, 0.8
+        m = np.array([[1.5, 0.0], [0.0, 0.5], [-2.0, 3.0]])
+        sparse_keys = {"m_indices": np.array([0, 2, 1, 2]),
+                       "m_values": np.array([1.5, -2.0, 0.5, 3.0]),
+                       "m_offsets": np.array([0, 2, 4]), "shape": np.array([3, 2])}
+        for name, keys in (("sparse", sparse_keys), ("dense", {"m_dense": m})):
+            out = tmp_path / name
+            out.mkdir()
+            np.savez(out / "model.npz", u=u, kind=np.array("completion"),
+                     g_value=np.array(2.0), **keys)
+            cli.main(["check-cert", str(out)])
+            printed = capsys.readouterr().out
+            gap_line = [ln for ln in printed.splitlines() if ln.startswith("duality_gap=")]
+            lib = inner.duality_gap(u, inner.DualCertificate(
+                kind="completion", g_value=2.0, m=m, k=u.T @ m, z=None))
+            assert float(gap_line[0].split("=")[1]) == pytest.approx(lib.gap, rel=1e-12)
+
     def test_corrupted_norm_rejected(self, tmp_path, capsys):
-        cert = inner.DualCertificate(kind="completion", g_value=1.0,
-                                     m_op=inner.DenseOperator(np.eye(2)), z=None)
+        u = 2.0 * np.eye(2)
+        cert = inner.DualCertificate(kind="completion", g_value=1.0, m=np.eye(2), k=u,
+                                     z=None)
         out = str(tmp_path / "model")
         os.makedirs(out)
-        cli.save_model(os.path.join(out, "model.npz"), 2.0 * np.eye(2), cert)
+        cli.save_model(os.path.join(out, "model.npz"), u, cert)
         assert cli.main(["check-cert", out]) == 1
         assert "norm" in capsys.readouterr().err
 

@@ -26,11 +26,23 @@ from spectralr.data import (
 class TestColumnSparseMatrix:
     def test_rejects_unsorted_indices(self):
         with pytest.raises(ValueError):
-            ColumnSparseMatrix(3, 1, [np.array([2, 1])], [np.array([1.0, 2.0])])
+            ColumnSparseMatrix(3, 1, [0, 2], [2, 1], [1.0, 2.0])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            ColumnSparseMatrix(3, 1, [np.array([5])], [np.array([1.0])])
+            ColumnSparseMatrix(3, 1, [0, 1], [5], [1.0])
+
+    def test_from_triplets_rejects_column_out_of_range(self):
+        with pytest.raises(ValueError, match="column index 5"):
+            ColumnSparseMatrix.from_triplets([0, 1, 0], [0, 5, -1], [1.0, 2.0, 3.0], 2, 2)
+        with pytest.raises(ValueError, match="column index -1"):
+            ColumnSparseMatrix.from_triplets([0, 0], [0, -1], [1.0, 3.0], 2, 2)
+
+    def test_from_triplets_rejects_length_mismatch(self):
+        for rows, cols, vals in (([0, 1], [0, 1], [1.0]), ([0], [0, 1], [1.0, 2.0]),
+                                 ([0, 1], [0], [1.0, 2.0])):
+            with pytest.raises(ValueError, match="differ in length"):
+                ColumnSparseMatrix.from_triplets(rows, cols, vals, 2, 2)
 
     def test_nnz_and_dense_round_trip(self):
         m = ColumnSparseMatrix.from_triplets([0, 1, 2], [0, 0, 1], [3.0, 1.0, -2.0], 3, 2)
@@ -74,13 +86,78 @@ class TestNonFiniteRejected:
                 load_triplets(path, d=n_lines, t=1)
 
 
+@st.composite
+def sparse_patterns(draw):
+    """Random d x t triplets, optionally with empty leading, middle and
+    trailing columns, in shuffled order."""
+    d, t = draw(st.integers(1, 6)), draw(st.integers(3, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 10_000)))
+    counts = rng.integers(0, d + 1, size=t)
+    for pos, flag in ((0, st.booleans()), (t - 1, st.booleans()),
+                      (draw(st.integers(1, t - 2)), st.booleans())):
+        if draw(flag):
+            counts[pos] = 0
+    rows = np.concatenate([rng.permutation(d)[:n] for n in counts]).astype(np.int64)
+    cols = np.repeat(np.arange(t), counts)
+    vals = rng.standard_normal(rows.size)
+    order = rng.permutation(rows.size)
+    return rows[order], cols[order], vals[order], d, t
+
+
+class TestCSCLayout:
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(sparse_patterns())
+    def test_round_trip(self, pattern):
+        rows, cols, vals, d, t = pattern
+        m = ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
+        order = np.lexsort((rows, cols))
+        back = m.to_coo()
+        for got, want in zip(back, (rows[order], cols[order], vals[order])):
+            assert np.array_equal(got, want)
+        dense = np.zeros((d, t))
+        dense[rows, cols] = vals
+        assert np.array_equal(m.to_dense(), dense)
+        assert np.array_equal(m.to_scipy().toarray(), dense)
+        for t_idx in range(t):
+            idx, val = m.column(t_idx)
+            assert np.array_equal(idx, back[0][back[1] == t_idx])
+            assert np.array_equal(val, back[2][back[1] == t_idx])
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(sparse_patterns(), st.sampled_from(["descending", "row", "value"]),
+           st.integers(0, 10_000))
+    def test_bad_entry_names_its_column(self, pattern, fault, pick):
+        rows, cols, vals, d, t = pattern
+        m = ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
+        sizes = np.diff(m.indptr)
+        need = 2 if fault == "descending" else 1
+        candidates = np.flatnonzero(sizes >= need)
+        if candidates.size == 0:
+            return
+        k = int(candidates[pick % candidates.size])
+        lo = m.indptr[k]
+        indices, values = m.indices.copy(), m.values.copy()
+        if fault == "descending":
+            indices[lo], indices[lo + 1] = indices[lo + 1], indices[lo]
+            message = "indices must be strictly increasing"
+        elif fault == "row":
+            indices[lo + pick % sizes[k]] = d if pick % 2 else -1
+            message = "row index out of range"
+        else:
+            values[lo + pick % sizes[k]] = np.nan
+            message = "non-finite value"
+        with pytest.raises(ValueError, match=f"column {k}: {message}"):
+            ColumnSparseMatrix(d, t, m.indptr, indices, values)
+
+
 class TestTripletIO:
     def test_basic_parse(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("1 1 3.5\n2 1 1.0\n")
         m = load_triplets(path, d=2, t=1)
-        assert list(m.col_indices[0]) == [0, 1]
-        assert list(m.col_values[0]) == [3.5, 1.0]
+        idx, val = m.column(0)
+        assert list(idx) == [0, 1]
+        assert list(val) == [3.5, 1.0]
 
     def test_header_line_sets_dims(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -132,9 +209,9 @@ class TestTripletIO:
         save_triplets(path, m)
         back = load_triplets(path)
         assert (back.d, back.t) == (m.d, m.t)
-        for t_idx in range(m.t):
-            assert np.array_equal(back.col_indices[t_idx], m.col_indices[t_idx])
-            assert np.array_equal(back.col_values[t_idx], m.col_values[t_idx])
+        assert np.array_equal(back.indptr, m.indptr)
+        assert np.array_equal(back.indices, m.indices)
+        assert np.array_equal(back.values, m.values)
 
     @settings(deadline=None, max_examples=20)
     @given(st.integers(0, 10_000))
@@ -152,9 +229,9 @@ class TestTripletIO:
             save_triplets(path, m)
             back = load_triplets(path)
         assert back.nnz == m.nnz
-        for t_idx in range(t):
-            assert np.array_equal(back.col_indices[t_idx], m.col_indices[t_idx])
-            assert np.array_equal(back.col_values[t_idx], m.col_values[t_idx])
+        assert np.array_equal(back.indptr, m.indptr)
+        assert np.array_equal(back.indices, m.indices)
+        assert np.array_equal(back.values, m.values)
 
 
 class TestSynthCompletion:
@@ -171,9 +248,9 @@ class TestSynthCompletion:
         a = synth_completion(10, 12, rank=2, sample_fraction=0.5, seed=42)
         b = synth_completion(10, 12, rank=2, sample_fraction=0.5, seed=42)
         assert np.array_equal(a.truth.left, b.truth.left)
-        for t_idx in range(12):
-            assert np.array_equal(a.train.col_indices[t_idx], b.train.col_indices[t_idx])
-            assert np.array_equal(a.train.col_values[t_idx], b.train.col_values[t_idx])
+        assert np.array_equal(a.train.indptr, b.train.indptr)
+        assert np.array_equal(a.train.indices, b.train.indices)
+        assert np.array_equal(a.train.values, b.train.values)
 
     def test_train_test_disjoint(self):
         out = synth_completion(10, 12, rank=2, sample_fraction=0.4, seed=1)

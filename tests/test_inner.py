@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scipy.sparse as sp
+
 from spectralr import inner
-from spectralr.data import antidiag_spread, antidiag_sums, hankel_matrix
+from spectralr.adapters import make_completion_adapter
+from spectralr.data import antidiag_spread, antidiag_sums, hankel_matrix, synth_completion
 from spectralr.inner import (
-    ColumnSparseOperator,
-    DenseOperator,
     DualCertificate,
     RegularizationParams,
     box_cd_objective,
@@ -23,6 +24,7 @@ from spectralr.inner import (
     solve_hankel,
     variational_theta_residual,
 )
+from spectralr.spectrahedron import random_point
 
 
 def rng(seed=0):
@@ -402,81 +404,75 @@ class TestMTFLInner:
         assert np.allclose(z, np.linalg.solve(q, y), atol=1e-10)
 
 
-def make_sparse_cert(d, t, idx, val, g_value=1.0, kind="completion"):
-    return DualCertificate(kind=kind, g_value=g_value,
-                           m_op=ColumnSparseOperator(d, t, idx, val), z=val)
+def make_cert(m, u, g_value=1.0):
+    """Certificate holding M (sparse or dense) and K = U^T M at u."""
+    return DualCertificate(kind="completion", g_value=g_value, m=m, k=u.T @ m, z=None)
 
 
 class TestGradientAndOperators:
     def test_zero_m_gives_zero_gradient(self):
-        cert = make_sparse_cert(4, 3, [np.array([0, 1])] * 3, [np.zeros(2)] * 3)
+        m = sp.csc_matrix((np.zeros(6), np.tile([0, 1], 3), [0, 2, 4, 6]), shape=(4, 3))
         u = rng(19).standard_normal((4, 2))
-        assert np.allclose(inner.euc_gradient(u, cert), 0.0)
+        assert np.allclose(inner.euc_gradient(u, make_cert(m, u)), 0.0)
 
     def test_rank_one_dense_oracle(self):
         g = rng(20)
         a = g.standard_normal(4)
         b = g.standard_normal(3)
         m = np.outer(a, b)
-        idx = [np.arange(4)] * 3
-        val = [m[:, t].copy() for t in range(3)]
-        cert = make_sparse_cert(4, 3, idx, val)
         u = g.standard_normal((4, 1))
         u /= np.linalg.norm(u)
-        got = inner.euc_gradient(u, cert)
+        got = inner.euc_gradient(u, make_cert(sp.csc_matrix(m), u))
         assert np.allclose(got, -m @ (m.T @ u), atol=1e-12)
 
-    def test_sparse_operator_matches_dense(self):
-        g = rng(21)
-        d, t = 6, 5
-        idx = [np.sort(g.permutation(d)[:g.integers(0, d + 1)]) for _ in range(t)]
-        val = [g.standard_normal(ix.size) for ix in idx]
-        op = ColumnSparseOperator(d, t, idx, val)
-        dense = np.zeros((d, t))
-        for j, (ix, v) in enumerate(zip(idx, val)):
-            dense[ix, j] = v
-        v_t = g.standard_normal(t)
-        v_d = g.standard_normal(d)
-        u = g.standard_normal((d, 2))
-        a = g.standard_normal((t, 2))
-        assert np.allclose(op.matvec(v_t), dense @ v_t)
-        assert np.allclose(op.rmatvec(v_d), dense.T @ v_d)
-        assert np.allclose(op.ut_m(u), u.T @ dense)
-        assert np.allclose(op.m_mat(a), dense @ a)
-        assert op.frob_norm() == pytest.approx(np.linalg.norm(dense))
+    def test_certificate_m_matches_dense(self):
+        params = RegularizationParams(c=2.0, epsilon=0.1, inner_tol=1e-12,
+                                      inner_max_iters=50000)
+        for kind in ("completion", "robust_l1", "robust_eps_svr", "nonneg_completion"):
+            nonneg = kind == "nonneg_completion"
+            train = synth_completion(8, 7, rank=2, sample_fraction=0.5, seed=3,
+                                     nonneg=nonneg).train
+            adapter = make_completion_adapter(kind, train, params)
+            p = random_point(8, 3, rng(31))
+            _, cert = adapter.evaluate_g(p)
+            dense = np.zeros((8, 7))
+            for t_idx in range(7):
+                idx, _ = train.column(t_idx)
+                dense[idx, t_idx] = cert.z[t_idx]
+            if nonneg:
+                assert cert.s.nnz > 0
+                dense += cert.s.toarray()
+            assert sp.isspmatrix_csc(cert.m)
+            assert np.array_equal(cert.m.toarray(), dense), kind
+            # the nonnegative gradient cancels to about 1e-10 of ||M||_F^2
+            assert np.allclose(inner.euc_gradient(p.u, cert), -dense @ (dense.T @ p.u),
+                               rtol=1e-12, atol=1e-13 * np.sum(dense ** 2)), kind
 
 
 class TestDualityGap:
     def test_m_in_range_of_u(self):
         u = np.array([[1.0], [0.0]])
-        cert = DualCertificate(kind="completion", g_value=1.0,
-                               m_op=DenseOperator(np.array([[3.0], [0.0]])), z=None)
-        rep = duality_gap(u, cert)
+        rep = duality_gap(u, make_cert(np.array([[3.0], [0.0]]), u))
         assert rep.sigma1 == pytest.approx(3.0, abs=1e-10)
         assert rep.gap == pytest.approx(0.0, abs=1e-9)
 
     def test_m_orthogonal_to_u(self):
         u = np.array([[1.0], [0.0]])
-        cert = DualCertificate(kind="completion", g_value=1.0,
-                               m_op=DenseOperator(np.array([[0.0], [3.0]])), z=None)
-        rep = duality_gap(u, cert)
+        rep = duality_gap(u, make_cert(np.array([[0.0], [3.0]]), u))
         assert rep.gap == pytest.approx(4.5, abs=1e-9)
 
     def test_diagonal_example_vs_svd(self):
         u = np.array([[1.0], [0.0]])
         m = np.diag([3.0, 4.0])
-        cert = DualCertificate(kind="completion", g_value=1.0,
-                               m_op=DenseOperator(m), z=None)
-        rep = duality_gap(u, cert)
+        rep = duality_gap(u, make_cert(m, u))
         assert rep.sigma1 == pytest.approx(4.0, abs=1e-10)
         assert rep.gap == pytest.approx((16.0 - 9.0) / 2.0, abs=1e-9)
 
     def test_sigma1_matches_svd_on_random(self):
         g = rng(22)
         m = g.standard_normal((7, 9))
-        cert = DualCertificate(kind="completion", g_value=1.0,
-                               m_op=DenseOperator(m), z=None)
-        rep = duality_gap(g.standard_normal((7, 2)) / 10, cert)
+        u = g.standard_normal((7, 2)) / 10
+        rep = duality_gap(u, make_cert(m, u))
         assert rep.sigma1 == pytest.approx(np.linalg.svd(m, compute_uv=False)[0],
                                            rel=1e-10)
 
@@ -487,19 +483,15 @@ class TestDualityGap:
             m = gg.standard_normal((6, 8))
             u = gg.standard_normal((6, 3))
             u /= np.linalg.norm(u)
-            cert = DualCertificate(kind="completion", g_value=1.0,
-                                   m_op=DenseOperator(m), z=None)
-            rep = duality_gap(u, cert)
+            rep = duality_gap(u, make_cert(m, u))
             assert rep.gap >= -1e-9
 
 
 class TestReconstructAndOracles:
     def test_zero_m_gives_zero_w(self):
-        cert = DualCertificate(kind="completion", g_value=0.0,
-                               m_op=DenseOperator(np.zeros((4, 3))), z=None)
         u = rng(24).standard_normal((4, 2))
         u /= np.linalg.norm(u)
-        factor = reconstruct_primal(u, cert)
+        factor = reconstruct_primal(u, make_cert(np.zeros((4, 3)), u, g_value=0.0))
         assert np.allclose(factor.dense(), 0.0)
 
     def test_rank_bound(self):
@@ -507,9 +499,7 @@ class TestReconstructAndOracles:
         m = g.standard_normal((6, 8))
         u = g.standard_normal((6, 2))
         u /= np.linalg.norm(u)
-        cert = DualCertificate(kind="completion", g_value=0.0,
-                               m_op=DenseOperator(m), z=None)
-        w = reconstruct_primal(u, cert).dense()
+        w = reconstruct_primal(u, make_cert(m, u, g_value=0.0)).dense()
         assert np.linalg.matrix_rank(w, tol=1e-10) <= 2
 
     def test_entries_match_dense(self):
@@ -517,9 +507,7 @@ class TestReconstructAndOracles:
         m = g.standard_normal((5, 4))
         u = g.standard_normal((5, 2))
         u /= np.linalg.norm(u)
-        cert = DualCertificate(kind="completion", g_value=0.0,
-                               m_op=DenseOperator(m), z=None)
-        factor = reconstruct_primal(u, cert)
+        factor = reconstruct_primal(u, make_cert(m, u, g_value=0.0))
         w = factor.dense()
         rows = np.array([0, 3, 4])
         cols = np.array([1, 0, 3])
@@ -541,7 +529,6 @@ class TestReconstructAndOracles:
         assert nuclear_norm_sq(w) == pytest.approx(np.sum(sv) ** 2, rel=1e-12)
 
     def test_primal_objective_zero(self):
-        data = inner.ColumnSparseOperator  # placeholder, not used for zeros
         from spectralr.data import ColumnSparseMatrix
         m = ColumnSparseMatrix(2, 2)
         params = RegularizationParams(c=1.0)
