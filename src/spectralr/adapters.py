@@ -6,6 +6,10 @@ hankel, mtfl.  All of them are deterministic given (point, data, params,
 warm start).  Completion-family data and duals share one CSC layout: M is a
 scipy.sparse CSC matrix on the observation pattern (plus the nonzeros of S
 in the nonnegative case); Hankel and multi-task M are dense arrays.
+Square-loss completion solves its dual for all columns at once: one
+(T, r, r) Gram stack per point and one batched r x r solve, in evaluate_g
+and in every Hessian-vector product.  The robust, nonnegative and
+multi-task adapters solve one column (or task) at a time.
 """
 
 from __future__ import annotations
@@ -153,9 +157,9 @@ class _CompletionBase(ProblemAdapter):
     def initialization_matrix(self):
         return self.data.to_scipy()
 
-    def _on_pattern(self, cols: list) -> sp.csc_matrix:
-        """CSC matrix with the observation pattern and per-column values."""
-        return sp.csc_matrix((np.concatenate(cols), self.data.indices, self.data.indptr),
+    def _on_pattern(self, values: np.ndarray) -> sp.csc_matrix:
+        """CSC matrix with the observation pattern and one value per entry."""
+        return sp.csc_matrix((values, self.data.indices, self.data.indptr),
                              shape=(self.d, self.t))
 
     def _warm_z(self, t_idx):
@@ -166,38 +170,42 @@ class _CompletionBase(ProblemAdapter):
 
 
 class CompletionAdapter(_CompletionBase):
-    """Square-loss matrix completion; the inner dual is solved in closed form."""
+    """Square-loss matrix completion; the inner dual is solved in closed form
+    for all columns at once, one batched r x r solve over the Gram stack."""
 
     kind = "completion"
+
+    def __init__(self, data: ColumnSparseMatrix, params):
+        super().__init__(data, params)
+        # T x d 0/1 transpose of the pattern and the column of each entry
+        self._pattern_t = sp.csr_matrix(
+            (np.ones(data.nnz), data.indices, data.indptr), shape=(self.t, self.d))
+        self._cols = np.repeat(np.arange(self.t), np.diff(data.indptr))
+
+    def _shifted_inverse(self, u, grams, w):
+        return inner.shifted_inverse_columns(u, grams, self.params.c,
+                                             self._pattern_t, self._cols, w)
 
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
-        z_cols, factors = [], []
-        for t_idx in range(self.t):
-            idx, y = self.data.column(t_idx)
-            z, factor = inner.solve_column_square(u[idx], y, c)
-            z_cols.append(z)
-            factors.append(factor)
-        m = self._on_pattern(z_cols)
+        grams = inner.square_gram_stack(u, self._pattern_t, c)
+        z = self._shifted_inverse(u, grams, self.data.values)
+        m = self._on_pattern(z)
         k = u.T @ m
-        g = float(self.data.values @ m.data - m.data @ m.data / (4.0 * c)
-                  - 0.5 * np.sum(k * k))
-        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k,
-                               z=z_cols, factors=factors)
+        g = float(self.data.values @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z, factors=grams)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
-        c = self.params.c
-        zdots = []
-        for t_idx in range(self.t):
-            idx, _ = self.data.column(t_idx)
-            u_rows, v_rows, z = u[idx], v[idx], cert.z[t_idx]
-            w = v_rows @ (u_rows.T @ z) + u_rows @ (v_rows.T @ z)
-            zdots.append(-inner.apply_shifted_inverse(u_rows, cert.factors[t_idx], c, w))
-        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdots))
+        # w_t = V_t (U_t^T z_t) + U_t (V_t^T z_t), with U_t^T z_t = K[:, t]
+        rows, cols = self.data.indices, self._cols
+        w = (inner.pattern_entries(v, cert.k.T, rows, cols)
+             + inner.pattern_entries(u, cert.m.T @ v, rows, cols))
+        zdot = -self._shifted_inverse(u, cert.factors, w)
+        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdot))
 
 
 class RobustCompletionAdapter(_CompletionBase):
@@ -226,7 +234,7 @@ class RobustCompletionAdapter(_CompletionBase):
                 self.params.inner_max_iters, self._warm_z(t_idx))
             z_cols.append(z)
             converged = converged and ok
-        m = self._on_pattern(z_cols)
+        m = self._on_pattern(np.concatenate(z_cols))
         k = u.T @ m
         g = float(self.data.values @ m.data - eps * np.sum(np.abs(m.data))
                   - 0.5 * np.sum(k * k))
@@ -242,7 +250,8 @@ class RobustCompletionAdapter(_CompletionBase):
         for t_idx in range(self.t):
             idx, _ = self.data.column(t_idx)
             zdots.append(inner.zdot_column_box(u[idx], v[idx], cert.z[t_idx], c, eps))
-        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdots))
+        mdot = self._on_pattern(np.concatenate(zdots))
+        return inner.assemble_hess_vec(u, v, cert, mdot)
 
 
 class NonnegCompletionAdapter(_CompletionBase):
@@ -271,7 +280,7 @@ class NonnegCompletionAdapter(_CompletionBase):
             s_vals.append(s[snz])
             factors.append(factor)
             converged = converged and ok
-        z_mat = self._on_pattern(z_cols)
+        z_mat = self._on_pattern(np.concatenate(z_cols))
         s_mat = _csc_columns(self.d, s_rows, s_vals)
         m = z_mat + s_mat
         k = u.T @ m
@@ -294,7 +303,8 @@ class NonnegCompletionAdapter(_CompletionBase):
             zdots.append(zdot)
             sdot_rows.append(nz)
             sdot_vals.append(sdot[nz])
-        mdot = self._on_pattern(zdots) + _csc_columns(self.d, sdot_rows, sdot_vals)
+        mdot = (self._on_pattern(np.concatenate(zdots))
+                + _csc_columns(self.d, sdot_rows, sdot_vals))
         return inner.assemble_hess_vec(u, v, cert, mdot)
 
 

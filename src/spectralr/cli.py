@@ -3,7 +3,8 @@
 Subcommands: complete, robust-complete, nn-complete, hankel, mtfl, synth,
 check-cert.  Runs write summary.json, trace.csv, and model.npz into the
 output directory.  Exit codes: 0 converged, 1 input error, 2 stall or
-non-convergence.
+non-convergence (for check-cert: a gap above --gap-tol, or a power iteration
+that did not converge).
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import os
 import subprocess
 import sys
 import time
+import zipfile
 
 import numpy as np
+import scipy
 import scipy.sparse as sp
 
 from . import adapters, data, inner, solvers
@@ -84,17 +87,56 @@ def save_model(path, u_mat, cert: inner.DualCertificate) -> None:
     np.savez(path, **payload)
 
 
+def _model_array(blob: dict, key: str, ndim: int) -> np.ndarray:
+    if key not in blob:
+        raise CliError(f"model_dir: model.npz has no {key!r} array")
+    try:
+        arr = np.asarray(blob[key], dtype=float)
+    except (TypeError, ValueError):
+        raise CliError(f"model_dir: {key!r} is not numeric") from None
+    if arr.ndim != ndim:
+        raise CliError(f"model_dir: {key!r} must be {ndim}-D, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise CliError(f"model_dir: {key!r} holds non-finite values")
+    return arr
+
+
 def load_model(path):
-    with np.load(path, allow_pickle=False) as blob:
-        u = blob["u"]
-        kind = str(blob["kind"])
-        g_value = float(blob["g_value"])
-        if "m_dense" in blob:
-            m = blob["m_dense"]
-        else:
-            m = sp.csc_matrix((blob["m_values"], blob["m_indices"], blob["m_offsets"]),
-                              shape=tuple(int(x) for x in blob["shape"]))
-    return u, inner.DualCertificate(kind=kind, g_value=g_value, m=m, k=u.T @ m, z=None)
+    """Read U and M back from model.npz; raises CliError("model_dir: ...")
+    for missing keys, shapes that disagree, inconsistent CSC arrays and
+    non-finite values."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            blob = {key: npz[key] for key in npz.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise CliError(f"model_dir: cannot read {path!r}: {exc}") from None
+    if "kind" not in blob:
+        raise CliError("model_dir: model.npz has no 'kind' array")
+    kind = str(blob["kind"])
+    u = _model_array(blob, "u", ndim=2)
+    g_value = _model_array(blob, "g_value", ndim=0)
+    if "m_dense" in blob:
+        m = _model_array(blob, "m_dense", ndim=2)
+    elif "m_values" not in blob:
+        raise CliError("model_dir: model.npz holds no M ('m_dense' or 'm_values')")
+    else:
+        values = _model_array(blob, "m_values", ndim=1)
+        shape = _model_array(blob, "shape", ndim=1)
+        if shape.size != 2:
+            raise CliError(f"model_dir: 'shape' must hold two counts, got {shape.tolist()}")
+        for key in ("m_indices", "m_offsets"):
+            if key not in blob:
+                raise CliError(f"model_dir: model.npz has no {key!r} array")
+        try:
+            m = sp.csc_matrix((values, blob["m_indices"], blob["m_offsets"]),
+                              shape=tuple(int(x) for x in shape))
+            m.check_format(full_check=True)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"model_dir: inconsistent CSC arrays for M: {exc}") from None
+    if m.shape[0] != u.shape[0]:
+        raise CliError(f"model_dir: M has {m.shape[0]} rows but U has {u.shape[0]}")
+    return u, inner.DualCertificate(kind=kind, g_value=float(g_value), m=m,
+                                    k=u.T @ m, z=None)
 
 
 def git_describe() -> str:
@@ -107,6 +149,15 @@ def git_describe() -> str:
     except OSError:
         pass
     return "unknown"
+
+
+def numeric_environment() -> dict:
+    """numpy/scipy versions and the BLAS thread variables (None when unset),
+    which can change round-off and with it the iteration counts."""
+    env = {"numpy": np.__version__, "scipy": scipy.__version__}
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = os.environ.get(var)
+    return env
 
 
 def parse_kv_spec(text: str, flag: str) -> dict:
@@ -251,6 +302,7 @@ def _finish_run(args, adapter, result, wall, test_metric):
         "wall_time_s": wall,
         "config": {k: v for k, v in sorted(vars(args).items()) if k != "func"},
         "build": git_describe(),
+        "environment": numeric_environment(),
     }
     write_summary(os.path.join(args.output_dir, "summary.json"), summary)
     write_trace(os.path.join(args.output_dir, "trace.csv"), result.records)
@@ -397,7 +449,9 @@ def cmd_check_cert(args) -> int:
     print(f"duality_gap={fmt_float(report.gap)}")
     print(f"sigma1={fmt_float(report.sigma1)}")
     print(f"relative_gap={fmt_float(report.relative_gap)}")
-    return 0 if report.relative_gap <= args.gap_tol else 2
+    print(f"power_converged={str(report.power_converged).lower()}")
+    # an unconverged power iteration under-reports sigma1, so its gap proves nothing
+    return 0 if report.power_converged and report.relative_gap <= args.gap_tol else 2
 
 
 def main(argv=None) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import antidiag_counts, antidiag_spread, antidiag_sums
@@ -27,10 +28,15 @@ class DualCertificate:
 
     m is the composite dual M: a scipy.sparse CSC matrix for the completion
     family, a dense d x T array for Hankel and multi-task learning.  k is
-    U^T M at the point, computed once where M is built.  z is the loss dual
-    (per-column arrays; a single vector for Hankel), s the constraint dual
-    (a CSC matrix for the nonnegative case, the dense d x T matrix for
-    Hankel, else None).
+    U^T M at the point, computed once where M is built.  z is the loss dual:
+    for square-loss completion the flat vector of one value per observed
+    entry in CSC order (equal to m.data); per-column arrays for the robust,
+    nonnegative and multi-task adapters; a single vector for Hankel.  s is
+    the constraint dual (a CSC matrix for the nonnegative case, the dense
+    d x T matrix for Hankel, else None).  factors holds what Hessian-vector
+    products reuse of the r x r systems I/(2C) + B_t^T B_t: the (T, r, r)
+    stack itself for square-loss completion, per-column Cholesky factors
+    for the nonnegative and multi-task adapters.
     """
 
     kind: str
@@ -39,7 +45,7 @@ class DualCertificate:
     k: np.ndarray
     z: object
     s: object = None
-    factors: list | None = None      # per-column Cholesky of the r x r system
+    factors: object = None           # (T, r, r) Gram stack or per-column Cholesky
     xu: list | None = None           # multi-task: cached X_t @ U blocks
     converged: bool = True
 
@@ -84,6 +90,43 @@ def apply_shifted_inverse(u_rows: np.ndarray, factor, c: float, w: np.ndarray) -
     if w.size == 0:
         return w
     return 2.0 * c * (w - u_rows @ cho_solve(factor, u_rows.T @ w))
+
+
+def square_gram_stack(u_full: np.ndarray, pattern_t, c: float) -> np.ndarray:
+    """The r x r systems G_t = I/(2C) + B_t^T B_t of every column at once.
+
+    B_t = U[omega_t] holds the rows observed in column t.  pattern_t is the
+    T x d 0/1 transpose of the observation pattern, so the whole stack is one
+    sparse-dense product with the d x r^2 matrix whose row i is U[i] (x) U[i].
+    Returns a (T, r, r) array.
+    """
+    d, r = u_full.shape
+    outer = (u_full[:, :, None] * u_full[:, None, :]).reshape(d, r * r)
+    grams = np.asarray(pattern_t @ outer).reshape(-1, r, r)
+    grams[:, np.arange(r), np.arange(r)] += 1.0 / (2.0 * c)
+    return grams
+
+
+def shifted_inverse_columns(u_full: np.ndarray, grams: np.ndarray, c: float,
+                            pattern_t, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(I/(2C) + B_t B_t^T)^{-1} w_t for every column t in one batched solve.
+
+    w holds one value per observed entry in CSC order and cols the column of
+    each entry; grams comes from square_gram_stack.  Same Woodbury form as
+    apply_shifted_inverse: 2C (w_t - B_t G_t^{-1} B_t^T w_t).
+    """
+    rows = pattern_t.indices
+    rhs = sp.csr_matrix((w, rows, pattern_t.indptr), shape=pattern_t.shape) @ u_full
+    # b is passed as (T, r, 1): numpy 2 reads a 2-D b as one matrix, not as
+    # a stack of vectors
+    sol = np.linalg.solve(grams, rhs[..., None])[..., 0]
+    return 2.0 * c * (w - pattern_entries(u_full, sol, rows, cols))
+
+
+def pattern_entries(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
+                    cols: np.ndarray) -> np.ndarray:
+    """Entries (rows[i], cols[i]) of A B^T, without forming A B^T."""
+    return np.einsum("ij,ij->i", a[rows], b[cols])
 
 
 def solve_column_box_cd(u_rows: np.ndarray, y: np.ndarray, c: float, eps: float,

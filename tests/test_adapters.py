@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from spectralr import adapters as ad
 from spectralr import inner
 from spectralr.data import ColumnSparseMatrix, hankel_matrix, synth_completion
 from spectralr.spectrahedron import manifold_point, normalized_point, random_point
+from tests.test_data import sparse_patterns
 
 
 def rng(seed=0):
@@ -31,7 +33,7 @@ class TestEvaluateG:
         adapter = ad.CompletionAdapter(data, params())
         g, cert = adapter.evaluate_g(random_point(6, 2, rng(1)))
         assert g == 0.0
-        assert all(z.size == 0 for z in cert.z)
+        assert cert.z.size == 0
 
     def test_single_entry_scalar_formula(self):
         data = ColumnSparseMatrix.from_triplets([0], [0], [2.0], 3, 2)
@@ -40,7 +42,7 @@ class TestEvaluateG:
         g, cert = adapter.evaluate_g(p)
         q = p.u[0] @ p.u[0]
         z_expect = 2.0 / (1.0 / 3.0 + q)
-        assert cert.z[0][0] == pytest.approx(z_expect, rel=1e-12)
+        assert cert.z[0] == pytest.approx(z_expect, rel=1e-12)
         assert g == pytest.approx(0.5 * 2.0 * z_expect, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["completion", "robust_l1", "robust_eps_svr",
@@ -99,6 +101,49 @@ class TestEvaluateG:
             g2, _ = adapter.evaluate_g(p)
             out.append((g1, g2))
         assert out[0] == out[1]
+
+
+def square_backward_ok(u_rows, z, y, c) -> bool:
+    """Backward error of (I/(2C) + B B^T) z = y within round-off of the
+    r x r Woodbury solve, whose conditioning grows as 2C ||B||_2^2."""
+    b2 = np.linalg.norm(u_rows, 2) ** 2 if u_rows.size else 0.0
+    resid = np.linalg.norm(z / (2.0 * c) + u_rows @ (u_rows.T @ z) - y)
+    scale = max(1.0, 2.0 * c * b2) * (np.linalg.norm(y) + b2 * np.linalg.norm(z))
+    return resid <= 64 * np.finfo(float).eps * scale
+
+
+class TestBatchedSquareDual:
+    # The batched kernel of CompletionAdapter against the per-column closed
+    # form: z from evaluate_g, zdot from the shifted inverse of a random w.
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(sparse_patterns(), st.integers(1, 4), st.floats(-2.0, 8.0),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_column_oracle(self, pattern, r, log_c, seed):
+        rows, cols, vals, d, t = pattern
+        data = ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
+        c = 10.0 ** log_c
+        g = rng(seed)
+        u = g.standard_normal((d, r))
+        u /= np.linalg.norm(u)  # unit Frobenius norm as on the manifold, r > d allowed
+        _, cert = ad.CompletionAdapter(data, params(c=c)).evaluate_g(u)
+        assert np.array_equal(cert.z, cert.m.data)
+        assert cert.factors.shape == (t, r, r)
+        w = g.standard_normal(data.nnz)
+        pattern_t = sp.csr_matrix((np.ones(data.nnz), data.indices, data.indptr),
+                                  shape=(t, d))
+        col_of = np.repeat(np.arange(t), np.diff(data.indptr))
+        zdot = inner.shifted_inverse_columns(u, cert.factors, c, pattern_t, col_of, w)
+        for t_idx in range(t):
+            lo, hi = data.indptr[t_idx], data.indptr[t_idx + 1]
+            idx, y = data.column(t_idx)
+            u_rows = u[idx]
+            z_ref, factor = inner.solve_column_square(u_rows, y, c)
+            zdot_ref = inner.apply_shifted_inverse(u_rows, factor, c, w[lo:hi])
+            for got, ref, rhs in ((cert.z[lo:hi], z_ref, y),
+                                  (zdot[lo:hi], zdot_ref, w[lo:hi])):
+                assert square_backward_ok(u_rows, got, rhs, c), (t_idx, c)
+                if c <= 1e4:
+                    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def box_active_set_margin(adapter, point, cert):

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from spectralr import cli, inner
@@ -50,7 +51,9 @@ class TestErrors:
 
 
 class TestCompleteRun:
-    def test_end_to_end_outputs(self, tmp_path):
+    def test_end_to_end_outputs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = str(tmp_path / "run")
         code = cli.main(["complete", "--synth", "d=20,T=25,r=2,frac=0.6",
                          "--rank", "2", "--C", "1e4", "--solver", "tr",
@@ -62,6 +65,11 @@ class TestCompleteRun:
         assert summary["status"] == "converged"
         assert summary["metric_kind"] == "rmse"
         assert summary["test_metric"] is not None
+        env = summary["environment"]
+        assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
+        assert env["OMP_NUM_THREADS"] == "3"
+        assert env["MKL_NUM_THREADS"] is None
+        assert env["OPENBLAS_NUM_THREADS"] == os.environ.get("OPENBLAS_NUM_THREADS")
         assert os.path.exists(os.path.join(out, "trace.csv"))
         assert os.path.exists(os.path.join(out, "model.npz"))
         with open(os.path.join(out, "trace.csv")) as fh:
@@ -182,6 +190,30 @@ class TestCheckCert:
             lib = inner.duality_gap(u, inner.DualCertificate(
                 kind="completion", g_value=2.0, m=m, k=u.T @ m, z=None))
             assert float(gap_line[0].split("=")[1]) == pytest.approx(lib.gap, rel=1e-12)
+
+    @pytest.mark.parametrize("name, keys", [
+        ("u_rows_mismatch", {"u": np.ones((4, 1)) / 2.0, "m_dense": np.eye(3)}),
+        ("no_m", {"u": np.ones((4, 1)) / 2.0}),
+    ])
+    def test_malformed_model_rejected(self, tmp_path, capsys, name, keys):
+        np.savez(tmp_path / "model.npz", kind=np.array("completion"),
+                 g_value=np.array(1.0), **keys)
+        assert cli.main(["check-cert", str(tmp_path)]) == 1
+        assert "error: model_dir:" in capsys.readouterr().err
+
+    def test_unconverged_power_iteration_exits_2(self, tmp_path, capsys, monkeypatch):
+        # M = diag(3, 0) with U = e_1 has gap 0, well within --gap-tol
+        u = np.array([[1.0], [0.0]])
+        m = np.diag([3.0, 0.0])
+        cert = inner.DualCertificate(kind="completion", g_value=1.0, m=m, k=u.T @ m, z=None)
+        cli.save_model(os.path.join(tmp_path, "model.npz"), u, cert)
+        assert cli.main(["check-cert", str(tmp_path)]) == 0
+        assert "power_converged=true" in capsys.readouterr().out
+        monkeypatch.setattr(inner, "top_singular_value_sq", lambda *args: (9.0, False))
+        assert cli.main(["check-cert", str(tmp_path)]) == 2
+        printed = capsys.readouterr().out
+        assert "relative_gap=0" in printed
+        assert "power_converged=false" in printed
 
     def test_corrupted_norm_rejected(self, tmp_path, capsys):
         u = 2.0 * np.eye(2)

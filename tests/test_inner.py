@@ -438,7 +438,11 @@ class TestGradientAndOperators:
             dense = np.zeros((8, 7))
             for t_idx in range(7):
                 idx, _ = train.column(t_idx)
-                dense[idx, t_idx] = cert.z[t_idx]
+                if kind == "completion":
+                    # square loss: one flat z in CSC order
+                    dense[idx, t_idx] = cert.z[train.indptr[t_idx]:train.indptr[t_idx + 1]]
+                else:
+                    dense[idx, t_idx] = cert.z[t_idx]
             if nonneg:
                 assert cert.s.nnz > 0
                 dense += cert.s.toarray()
