@@ -3,8 +3,8 @@
 Subcommands: complete, robust-complete, nn-complete, hankel, mtfl, synth,
 check-cert.  Runs write summary.json, trace.csv, and model.npz into the
 output directory.  Exit codes: 0 converged, 1 input error, 2 stall or
-non-convergence (for check-cert: a gap above --gap-tol, or a power iteration
-that did not converge).
+non-convergence (for check-cert: a gap above --gap-tol, or a sigma_1 that
+Lanczos did not converge).
 """
 
 from __future__ import annotations
@@ -297,6 +297,7 @@ def _finish_run(args, adapter, result, wall, test_metric):
         "duality_gap": gap.gap,
         "relative_gap": gap.relative_gap,
         "sigma1": gap.sigma1,
+        "power_converged": gap.power_converged,
         "test_metric": test_metric,
         "metric_kind": METRIC_KIND[adapter.kind],
         "wall_time_s": wall,
@@ -309,7 +310,8 @@ def _finish_run(args, adapter, result, wall, test_metric):
     save_model(os.path.join(args.output_dir, "model.npz"),
                result.point.u, result.certificate)
     print(f"{args.command}: {result.status}, g={fmt_float(result.g_value)}, "
-          f"relative gap={gap.relative_gap:.3e}"
+          f"relative gap={gap.relative_gap:.3e}, "
+          f"power_converged={str(gap.power_converged).lower()}"
           + (f", test {METRIC_KIND[adapter.kind]}={test_metric:.6g}"
              if test_metric is not None else ""))
     return 0 if result.status == solvers.CONVERGED else 2
@@ -450,7 +452,7 @@ def cmd_check_cert(args) -> int:
     print(f"sigma1={fmt_float(report.sigma1)}")
     print(f"relative_gap={fmt_float(report.relative_gap)}")
     print(f"power_converged={str(report.power_converged).lower()}")
-    # an unconverged power iteration under-reports sigma1, so its gap proves nothing
+    # an unconverged Lanczos solve under-reports sigma1, so its gap proves nothing
     return 0 if report.power_converged and report.relative_gap <= args.gap_tol else 2
 
 

@@ -14,12 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 
 from .data import antidiag_counts, antidiag_spread, antidiag_sums
 
 # Entries of sparse constraint duals below this are dropped.
 SPARSE_PRUNE = 1e-14
+
+# Largest min(d, T) for which sigma_1(M)^2 comes from the dense Gram: the
+# largest size at which the Gram beat Lanczos on every case that
+# scripts/sigma1_crossover.py times (sparse M cross over from about 144 on).
+DENSE_SIGMA1_MAX_SIDE = 128
 
 
 @dataclass
@@ -211,10 +217,6 @@ def solve_column_box_cd(u_rows: np.ndarray, y: np.ndarray, c: float, eps: float,
         sign[j] = np.sign(z[j]) if z[j] != 0.0 else np.sign(grad[j])
         solved = False
     return z, converged
-
-
-def box_cd_objective(u_rows, y, c, eps, z) -> float:
-    return float(y @ z - eps * np.sum(np.abs(z)) - 0.5 * np.sum((u_rows.T @ z) ** 2))
 
 
 def solve_column_nonneg(u_full: np.ndarray, omega: np.ndarray, y: np.ndarray,
@@ -452,6 +454,13 @@ def dot_column_nonneg(u_full: np.ndarray, v_full: np.ndarray, omega: np.ndarray,
 
 @dataclass(frozen=True)
 class GapReport:
+    """Duality gap of a point and how sigma_1(M) behind it was computed.
+
+    power_converged is True when sigma1 is exact (dense Gram path, or M = 0)
+    or Lanczos met its tolerance.  When it is False sigma1, and with it the
+    gap, is a lower bound and certifies nothing.
+    """
+
     gap: float
     sigma1: float
     relative_gap: float
@@ -459,62 +468,72 @@ class GapReport:
     power_converged: bool
 
 
-def top_singular_value_sq(m, block: int = 4, tol: float = 1e-13,
-                          max_iters: int = 500) -> tuple[float, bool]:
-    """Largest eigenvalue of M^T M (or M M^T) by block power iteration.
+def sigma1_sq_dense(m) -> float:
+    """Top eigenvalue of the Gram M M^T or M^T M, whichever is smaller.
 
-    A single power vector converges too slowly when the top of the spectrum
-    is clustered, which is exactly the near-optimal regime here, so a small
-    deterministic block is iterated instead (column 0 is the all-ones
-    direction).  Each step applies M and M^T to the whole block.
-    Convergence is certified by the top Ritz residual, which brackets the
-    true eigenvalue within +-residual.
+    The Gram is a sparse (or dense) product and only it is made dense, never
+    M itself.  Exact up to round-off.
+    """
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    if sp.issparse(gram):
+        gram = gram.toarray()
+    return float(np.linalg.eigvalsh(gram)[-1])
+
+
+def sigma1_sq_lanczos(m, tol: float = 1e-13) -> tuple[float, bool]:
+    """Top eigenvalue of the smaller-side normal operator by ARPACK's Lanczos.
+
+    The start vector is drawn from a fixed seed, so repeated calls agree bit
+    for bit.  ARPACK accepts the Ritz value theta once its residual is at
+    most tol * |theta|.  Without convergence the largest converged Ritz value
+    (else the start vector's Rayleigh quotient) is returned with False; it is
+    a lower bound on sigma_1(M)^2.  Needs min(M.shape) >= 2.
     """
     d, t = m.shape
-    small = min(d, t)
+    n = min(d, t)
     if d <= t:
-        op = lambda x: m @ (m.T @ x)
+        matvec = lambda x: m @ (m.T @ x)
     else:
-        op = lambda x: m.T @ (m @ x)
-    b = min(block, small)
-    basis = np.ones((small, b))
-    for j in range(1, b):
-        # deterministic, mutually independent start directions
-        basis[:, j] = np.cos(np.arange(small) * (j * np.pi / small)) + j / (j + 1.0)
-    basis, _ = np.linalg.qr(basis)
-    lam = 0.0
-    converged = False
-    for _ in range(max_iters):
-        image = op(basis)
-        small_h = basis.T @ image
-        small_h = 0.5 * (small_h + small_h.T)
-        evals, evecs = np.linalg.eigh(small_h)
-        lam = float(evals[-1])
-        top = basis @ evecs[:, -1]
-        resid = float(np.linalg.norm(image @ evecs[:, -1] - lam * top))
-        if resid <= tol * max(abs(lam), 1e-300):
-            converged = True
-            break
-        norms = np.linalg.norm(image, axis=0)
-        if np.max(norms) == 0.0:
-            return 0.0, True
-        basis, _ = np.linalg.qr(image)
-    return max(lam, 0.0), converged
+        matvec = lambda x: m.T @ (m @ x)
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
+    v0 = np.random.default_rng(0).standard_normal(n)
+    try:
+        lam = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
+                         return_eigenvectors=False)[0]
+        return float(lam), True
+    except spla.ArpackNoConvergence as exc:
+        return float(max(exc.eigenvalues, default=v0 @ matvec(v0) / (v0 @ v0))), False
+
+
+def top_singular_value_sq(m, tol: float = 1e-13) -> tuple[float, bool]:
+    """sigma_1(M)^2 and whether it is converged; M is CSC or a dense array.
+
+    All-zero M gives (0.0, True).  When min(d, T) <= DENSE_SIGMA1_MAX_SIDE
+    the value is the top eigenvalue of the dense smaller-side Gram, exact up
+    to round-off, and the flag is always True.  Above that it comes from
+    Lanczos with relative residual tolerance tol; the flag is False when
+    ARPACK did not converge, and the value is then a lower bound.
+    """
+    if not np.any(m.data if sp.issparse(m) else m):
+        return 0.0, True
+    if min(m.shape) <= DENSE_SIGMA1_MAX_SIDE:
+        return sigma1_sq_dense(m), True
+    return sigma1_sq_lanczos(m, tol)
 
 
 def duality_gap(u_mat: np.ndarray, cert: DualCertificate,
-                power_tol: float = 1e-13, max_power_iters: int = 500) -> GapReport:
+                power_tol: float = 1e-13) -> GapReport:
     """Optimality gap 0.5*(sigma_1(M)^2 - ||U^T M||_F^2) of the current point.
 
     cert must come from evaluate_g at u_mat, so that cert.k = U^T M.
-    sigma_1 comes from block power iteration on M^T M (or M M^T, whichever
-    side is smaller); the block covers the rank so clustered top singular
-    values still resolve.  The relative gap divides by max(1, |g|).
+    sigma_1(M)^2 comes from top_singular_value_sq: exact on the dense Gram
+    for small M, by Lanczos to relative residual power_tol otherwise.  The
+    relative gap divides by max(1, |g|).  The gap is a point estimate; when
+    power_converged is False, sigma_1 is a lower bound and so is the gap.
     """
     k = cert.k
     ut_m_sq = float(np.sum(k * k))
-    block = min(k.shape[0] + 3, *cert.m.shape)
-    lam, converged = top_singular_value_sq(cert.m, block, power_tol, max_power_iters)
+    lam, converged = top_singular_value_sq(cert.m, power_tol)
     sigma1 = float(np.sqrt(lam))
     gap = 0.5 * (lam - ut_m_sq)
     rel = gap / max(1.0, abs(cert.g_value))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from spectralr import cli, inner
 
@@ -51,7 +52,7 @@ class TestErrors:
 
 
 class TestCompleteRun:
-    def test_end_to_end_outputs(self, tmp_path, monkeypatch):
+    def test_end_to_end_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
         out = str(tmp_path / "run")
@@ -65,6 +66,8 @@ class TestCompleteRun:
         assert summary["status"] == "converged"
         assert summary["metric_kind"] == "rmse"
         assert summary["test_metric"] is not None
+        assert summary["power_converged"] is True
+        assert ", power_converged=true" in capsys.readouterr().out.splitlines()[-1]
         env = summary["environment"]
         assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
         assert env["OMP_NUM_THREADS"] == "3"
@@ -214,6 +217,24 @@ class TestCheckCert:
         printed = capsys.readouterr().out
         assert "relative_gap=0" in printed
         assert "power_converged=false" in printed
+
+    def test_lanczos_no_convergence_exits_2(self, tmp_path, capsys, monkeypatch):
+        # rank-one M above the dense-Gram size, so sigma1 comes from Lanczos;
+        # U = e_1 spans its column space, so the gap is 0
+        n = inner.DENSE_SIGMA1_MAX_SIDE + 2
+        u = np.eye(n, 1)
+        m = sp.csc_matrix(np.outer(u[:, 0], np.linspace(1.0, 2.0, n + 5)))
+        cert = inner.DualCertificate(kind="completion", g_value=1.0, m=m, k=u.T @ m, z=None)
+        cli.save_model(os.path.join(tmp_path, "model.npz"), u, cert)
+        assert cli.main(["check-cert", str(tmp_path)]) == 0
+        assert "power_converged=true" in capsys.readouterr().out
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((n, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        assert cli.main(["check-cert", str(tmp_path)]) == 2
+        assert "power_converged=false" in capsys.readouterr().out
 
     def test_corrupted_norm_rejected(self, tmp_path, capsys):
         u = 2.0 * np.eye(2)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from spectralr import inner
+from spectralr import inner, solvers
 from spectralr.adapters import make_completion_adapter
 from spectralr.data import antidiag_spread, antidiag_sums, hankel_matrix, synth_completion
 from spectralr.inner import (
     DualCertificate,
     RegularizationParams,
-    box_cd_objective,
     duality_gap,
     nuclear_norm_sq,
     primal_objective,
@@ -29,6 +29,11 @@ from spectralr.spectrahedron import random_point
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def box_cd_objective(u_rows, y, eps, z) -> float:
+    """Box-dual objective <y, z> - eps*||z||_1 - 0.5*||B^T z||^2."""
+    return float(y @ z - eps * np.sum(np.abs(z)) - 0.5 * np.sum((u_rows.T @ z) ** 2))
 
 
 def ista_box_oracle(u_rows, y, c, eps, iters=100000):
@@ -164,7 +169,7 @@ class TestBoxCoordinateDescent:
         for sweeps in range(1, 10):
             z, _ = solve_column_box_cd(u_rows, y, c=1.0, eps=0.1,
                                        tol=0.0, max_sweeps=sweeps)
-            val = box_cd_objective(u_rows, y, 1.0, 0.1, z)
+            val = box_cd_objective(u_rows, y, 0.1, z)
             assert val >= prev - 1e-12
             prev = val
 
@@ -489,6 +494,83 @@ class TestDualityGap:
             u /= np.linalg.norm(u)
             rep = duality_gap(u, make_cert(m, u))
             assert rep.gap >= -1e-9
+
+
+DENSE_MAX = inner.DENSE_SIGMA1_MAX_SIDE
+
+
+def svd_sigma1_sq(m):
+    dense = m.toarray() if sp.issparse(m) else m
+    return np.linalg.svd(dense, compute_uv=False)[0] ** 2
+
+
+class TestTopSingularValue:
+    @pytest.mark.parametrize("n", [1, DENSE_MAX - 1, DENSE_MAX, DENSE_MAX + 1])
+    @pytest.mark.parametrize("wide", [True, False])
+    @pytest.mark.parametrize("fmt", ["csc", "ndarray"])
+    def test_matches_svd_on_both_paths(self, monkeypatch, n, wide, fmt):
+        g = rng(n)
+        m = g.standard_normal((n, n + 9))
+        m[g.random(m.shape) < 0.6] = 0.0
+        m[0, 0] = 1.0
+        if not wide:
+            m = m.T
+        if fmt == "csc":
+            m = sp.csc_matrix(m)
+        calls = []
+        eigsh = spla.eigsh
+        monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: calls.append(1) or eigsh(*a, **kw))
+        lam, converged = inner.top_singular_value_sq(m)
+        assert converged
+        assert lam == pytest.approx(svd_sigma1_sq(m), rel=1e-12)
+        # Lanczos runs exactly when the smaller side exceeds the constant
+        assert bool(calls) == (n > DENSE_MAX)
+
+    def test_clustered_near_optimal_m(self):
+        train = synth_completion(130, 160, rank=3, sample_fraction=0.3, seed=1).train
+        adapter = make_completion_adapter(
+            "completion", train, RegularizationParams(c=1e4, inner_tol=1e-12))
+        u0 = solvers.initialize_point(adapter, 130, 3, 1)
+        res = solvers.solve_tr(adapter, u0, solvers.SolverConfig(
+            max_outer_iters=20, grad_norm_tol=1e-12))
+        m = res.certificate.m
+        sv = np.linalg.svd(m.toarray(), compute_uv=False)
+        # near the optimum the top r = 3 singular values coincide
+        assert sv[2] > (1.0 - 1e-8) * sv[0]
+        lam, converged = inner.sigma1_sq_lanczos(m)
+        assert converged
+        for value in (lam, inner.sigma1_sq_dense(m), inner.top_singular_value_sq(m)[0]):
+            assert value == pytest.approx(sv[0] ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (DENSE_MAX + 20, DENSE_MAX + 10)])
+    def test_all_zero_m(self, shape):
+        stored_zeros = sp.random(*shape, density=0.2, format="csc", random_state=rng(3))
+        stored_zeros.data[:] = 0.0
+        for m in (np.zeros(shape), sp.csc_matrix(shape), stored_zeros):
+            assert inner.top_singular_value_sq(m) == (0.0, True)
+
+    @pytest.mark.parametrize("n", [DENSE_MAX // 2, 2 * DENSE_MAX])
+    def test_repeat_calls_bit_identical(self, n):
+        m = sp.random(n, n + 50, density=0.1, format="csc", random_state=rng(5))
+        first = inner.top_singular_value_sq(m)
+        assert inner.top_singular_value_sq(m) == first
+
+    @pytest.mark.parametrize("partial", [[], [2.5]])
+    def test_arpack_no_convergence_gives_lower_bound(self, monkeypatch, partial):
+        m = rng(6).standard_normal((DENSE_MAX + 1, DENSE_MAX + 5))
+
+        def no_convergence(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.array(partial),
+                                           np.empty((m.shape[0], len(partial))))
+
+        monkeypatch.setattr(spla, "eigsh", no_convergence)
+        lam, converged = inner.top_singular_value_sq(m)
+        assert not converged
+        assert 0.0 < lam <= svd_sigma1_sq(m)
+        if partial:
+            assert lam == 2.5
+        u = np.eye(m.shape[0], 1)
+        assert not duality_gap(u, make_cert(m, u)).power_converged
 
 
 class TestReconstructAndOracles:
