@@ -5,16 +5,18 @@ Adapter kinds: completion, robust_l1, robust_eps_svr, nonneg_completion,
 hankel, mtfl.  All of them are deterministic given (point, data, params,
 warm start).  Completion-family data and duals share one CSC layout: M is a
 scipy.sparse CSC matrix on the observation pattern (plus the nonzeros of S
-in the nonnegative case); Hankel and multi-task M are dense arrays.
-Square-loss completion solves its dual for all columns at once: one
-(T, r, r) Gram stack per point and one batched r x r solve, in evaluate_g
-and in every Hessian-vector product.  The robust, nonnegative and
-multi-task adapters solve one column (or task) at a time.
+in the nonnegative case); Hankel and multi-task M are dense arrays.  The
+loss dual z is one flat vector for every kind (see DualCertificate).
+Square-loss completion and multi-task learning share one batched
+square-loss dual: one (T, r, r) Gram stack per point and one batched r x r
+solve, in evaluate_g and in every Hessian-vector product.  They differ only
+in the row features (U, or X_all U over the stacked samples) and in how z
+becomes M.  The robust and nonnegative adapters solve one column at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +24,7 @@ import scipy.sparse as sp
 from . import inner
 from .data import (
     ColumnSparseMatrix,
+    antidiag_counts,
     antidiag_means,
     antidiag_sums,
     hankel_matrix,
@@ -50,12 +53,14 @@ class MTFLTaskSet:
     def __post_init__(self):
         if not self.tasks:
             raise ValueError("need at least one task")
-        d = self.tasks[0][0].shape[1]
+        d = np.shape(self.tasks[0][0])[1:]
         norm = []
         for x_t, y_t in self.tasks:
             x_t = np.asarray(x_t, dtype=float)
             y_t = np.asarray(y_t, dtype=float)
-            if x_t.ndim != 2 or x_t.shape[1] != d:
+            if x_t.ndim != 2 or y_t.ndim != 1:
+                raise ValueError(f"task {len(norm)}: X must be 2-D and y 1-D")
+            if x_t.shape[1:] != d:
                 raise ValueError("all tasks must share the feature dimension")
             if x_t.shape[0] != y_t.size or y_t.size < 1:
                 raise ValueError("each task needs matching, nonempty X and y")
@@ -85,9 +90,9 @@ class HankelProblem:
         self.y_noisy = np.asarray(self.y_noisy, dtype=float)
         if self.d > self.t:
             self.d, self.t = self.t, self.d
-        if self.y_noisy.size != self.d + self.t - 1:
-            raise ValueError(
-                f"need len(y) = d + t - 1 = {self.d + self.t - 1}, got {self.y_noisy.size}")
+        if self.y_noisy.shape != (self.d + self.t - 1,):
+            raise ValueError(f"need a 1-D y of length d + t - 1 = {self.d + self.t - 1}, "
+                             f"got shape {self.y_noisy.shape}")
         bad = np.flatnonzero(~np.isfinite(self.y_noisy))
         if bad.size:
             raise ValueError(f"y_noisy: non-finite value at index {bad[0]}")
@@ -138,6 +143,47 @@ def _csc_columns(d: int, rows: list, vals: list) -> sp.csc_matrix:
                          shape=(d, len(rows)))
 
 
+class _SquareLossDual:
+    """Square-loss dual of every column at once, on a T x n 0/1 pattern.
+
+    Column t has targets y_t and rows B_t of the n x r features of U; z_t
+    solves (I/(2C) + B_t B_t^T) z_t = y_t.  Subclasses call _set_pattern
+    and define _features(u) and _m_of(z).
+    """
+
+    def _set_pattern(self, indptr, indices, n: int, y: np.ndarray):
+        """T x n 0/1 pattern transpose, column of each entry, targets in order."""
+        t = indptr.size - 1
+        self._pattern_t = sp.csr_matrix((np.ones(y.size), indices, indptr), shape=(t, n))
+        self._cols = np.repeat(np.arange(t), np.diff(indptr))
+        self._y = y
+
+    def evaluate_g(self, point):
+        u = _mat(point)
+        c = self.params.c
+        feats = self._features(u)
+        grams = inner.square_gram_stack(feats, self._pattern_t, c)
+        z = inner.shifted_inverse_columns(feats, grams, c, self._pattern_t, self._cols, self._y)
+        m = self._m_of(z)
+        k = u.T @ m
+        g = float(self._y @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z, factors=grams)
+        self.last_certificate = cert
+        return g, cert
+
+    def euc_hess_vec(self, point, v, cert):
+        u = _mat(point)
+        feats = self._features(u)
+        # w_t = B'_t (B_t^T z_t) + B_t (B'_t^T z_t) with B'_t the rows of the
+        # features of V, B_t^T z_t = K[:, t] and B'_t^T z_t = (M^T V)[t]
+        rows, cols = self._pattern_t.indices, self._cols
+        w = (inner.pattern_entries(self._features(v), cert.k.T, rows, cols)
+             + inner.pattern_entries(feats, cert.m.T @ v, rows, cols))
+        zdot = -inner.shifted_inverse_columns(feats, cert.factors, self.params.c,
+                                              self._pattern_t, self._cols, w)
+        return inner.assemble_hess_vec(u, v, cert, self._m_of(zdot))
+
+
 def _dense_column(mat: sp.csc_matrix, t_idx: int) -> np.ndarray:
     out = np.zeros(mat.shape[0])
     lo, hi = mat.indptr[t_idx], mat.indptr[t_idx + 1]
@@ -162,50 +208,25 @@ class _CompletionBase(ProblemAdapter):
         return sp.csc_matrix((values, self.data.indices, self.data.indptr),
                              shape=(self.d, self.t))
 
-    def _warm_z(self, t_idx):
-        cert = self.last_certificate
-        if cert is None or not isinstance(cert.z, list):
-            return None
-        return cert.z[t_idx]
+    def _column_slice(self, t_idx: int) -> slice:
+        return slice(self.data.indptr[t_idx], self.data.indptr[t_idx + 1])
 
 
-class CompletionAdapter(_CompletionBase):
-    """Square-loss matrix completion; the inner dual is solved in closed form
-    for all columns at once, one batched r x r solve over the Gram stack."""
+class CompletionAdapter(_SquareLossDual, _CompletionBase):
+    """Square-loss matrix completion; the features are U itself and M is z
+    on the observation pattern."""
 
     kind = "completion"
 
     def __init__(self, data: ColumnSparseMatrix, params):
         super().__init__(data, params)
-        # T x d 0/1 transpose of the pattern and the column of each entry
-        self._pattern_t = sp.csr_matrix(
-            (np.ones(data.nnz), data.indices, data.indptr), shape=(self.t, self.d))
-        self._cols = np.repeat(np.arange(self.t), np.diff(data.indptr))
+        self._set_pattern(data.indptr, data.indices, self.d, data.values)
 
-    def _shifted_inverse(self, u, grams, w):
-        return inner.shifted_inverse_columns(u, grams, self.params.c,
-                                             self._pattern_t, self._cols, w)
+    def _features(self, u):
+        return u
 
-    def evaluate_g(self, point):
-        u = _mat(point)
-        c = self.params.c
-        grams = inner.square_gram_stack(u, self._pattern_t, c)
-        z = self._shifted_inverse(u, grams, self.data.values)
-        m = self._on_pattern(z)
-        k = u.T @ m
-        g = float(self.data.values @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
-        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z, factors=grams)
-        self.last_certificate = cert
-        return g, cert
-
-    def euc_hess_vec(self, point, v, cert):
-        u = _mat(point)
-        # w_t = V_t (U_t^T z_t) + U_t (V_t^T z_t), with U_t^T z_t = K[:, t]
-        rows, cols = self.data.indices, self._cols
-        w = (inner.pattern_entries(v, cert.k.T, rows, cols)
-             + inner.pattern_entries(u, cert.m.T @ v, rows, cols))
-        zdot = -self._shifted_inverse(u, cert.factors, w)
-        return inner.assemble_hess_vec(u, v, cert, self._on_pattern(zdot))
+    def _m_of(self, z):
+        return self._on_pattern(z)
 
 
 class RobustCompletionAdapter(_CompletionBase):
@@ -226,20 +247,21 @@ class RobustCompletionAdapter(_CompletionBase):
     def evaluate_g(self, point):
         u = _mat(point)
         c, eps = self.params.c, self._eps
+        warm = self.last_certificate
         z_cols, converged = [], True
         for t_idx in range(self.t):
             idx, y = self.data.column(t_idx)
             z, ok = inner.solve_column_box_cd(
-                u[idx], y, c, eps, self.params.inner_tol,
-                self.params.inner_max_iters, self._warm_z(t_idx))
+                u[idx], y, c, eps, self.params.inner_tol, self.params.inner_max_iters,
+                None if warm is None else warm.z[self._column_slice(t_idx)])
             z_cols.append(z)
             converged = converged and ok
-        m = self._on_pattern(np.concatenate(z_cols))
+        z = np.concatenate(z_cols)
+        m = self._on_pattern(z)
         k = u.T @ m
-        g = float(self.data.values @ m.data - eps * np.sum(np.abs(m.data))
-                  - 0.5 * np.sum(k * k))
+        g = float(self.data.values @ z - eps * np.sum(np.abs(z)) - 0.5 * np.sum(k * k))
         cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k,
-                               z=z_cols, converged=converged)
+                               z=z, converged=converged)
         self.last_certificate = cert
         return g, cert
 
@@ -249,7 +271,8 @@ class RobustCompletionAdapter(_CompletionBase):
         zdots = []
         for t_idx in range(self.t):
             idx, _ = self.data.column(t_idx)
-            zdots.append(inner.zdot_column_box(u[idx], v[idx], cert.z[t_idx], c, eps))
+            zdots.append(inner.zdot_column_box(u[idx], v[idx],
+                                               cert.z[self._column_slice(t_idx)], c, eps))
         mdot = self._on_pattern(np.concatenate(zdots))
         return inner.assemble_hess_vec(u, v, cert, mdot)
 
@@ -267,10 +290,10 @@ class NonnegCompletionAdapter(_CompletionBase):
         u = _mat(point)
         c = self.params.c
         warm = self.last_certificate
-        z_cols, s_rows, s_vals, factors, converged = [], [], [], [], True
+        z_cols, s_rows, s_vals, converged = [], [], [], True
         for t_idx in range(self.t):
             idx, y = self.data.column(t_idx)
-            z, s, factor, ok = inner.solve_column_nonneg(
+            z, s, _, ok = inner.solve_column_nonneg(
                 u, idx, y, c, self.params.inner_tol, self.params.inner_max_iters,
                 None if warm is None else _dense_column(warm.s, t_idx))
             s[np.abs(s) < inner.SPARSE_PRUNE] = 0.0
@@ -278,16 +301,14 @@ class NonnegCompletionAdapter(_CompletionBase):
             z_cols.append(z)
             s_rows.append(snz)
             s_vals.append(s[snz])
-            factors.append(factor)
             converged = converged and ok
-        z_mat = self._on_pattern(np.concatenate(z_cols))
+        z = np.concatenate(z_cols)
         s_mat = _csc_columns(self.d, s_rows, s_vals)
-        m = z_mat + s_mat
+        m = self._on_pattern(z) + s_mat
         k = u.T @ m
-        g = float(self.data.values @ z_mat.data - z_mat.data @ z_mat.data / (4.0 * c)
-                  - 0.5 * np.sum(k * k))
-        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z_cols,
-                               s=s_mat, factors=factors, converged=converged)
+        g = float(self.data.values @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
+        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z,
+                               s=s_mat, converged=converged)
         self.last_certificate = cert
         return g, cert
 
@@ -298,7 +319,8 @@ class NonnegCompletionAdapter(_CompletionBase):
         for t_idx in range(self.t):
             omega, _ = self.data.column(t_idx)
             zdot, sdot = inner.dot_column_nonneg(
-                u, v, omega, cert.z[t_idx], _dense_column(cert.s, t_idx), c)
+                u, v, omega, cert.z[self._column_slice(t_idx)],
+                _dense_column(cert.s, t_idx), c)
             nz = np.flatnonzero(sdot)
             zdots.append(zdot)
             sdot_rows.append(nz)
@@ -324,10 +346,6 @@ class HankelAdapter(ProblemAdapter):
     def initialization_matrix(self):
         return hankel_matrix(self.problem.y_noisy, self.d, self.t)
 
-    def _counts(self):
-        from .data import antidiag_counts
-        return antidiag_counts(self.d, self.t)
-
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
@@ -335,18 +353,18 @@ class HankelAdapter(ProblemAdapter):
         z, ok = inner.solve_hankel(
             u, self.problem.y_noisy, c, self.params.inner_tol,
             self.params.inner_max_iters, self.t, warm)
-        s_mat = inner.hankel_spread_dual(z, self._counts(), self.d, self.t)
+        s_mat = inner.hankel_spread_dual(z, antidiag_counts(self.d, self.t), self.d, self.t)
         k = u.T @ s_mat
         g = float(z @ self.problem.y_noisy - z @ z / (4.0 * c) - 0.5 * np.sum(k ** 2))
         cert = DualCertificate(kind=self.kind, g_value=g, m=s_mat, k=k,
-                               z=z, s=s_mat, converged=ok)
+                               z=z, converged=ok)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
         s_mat = cert.m
-        counts = self._counts()
+        counts = antidiag_counts(self.d, self.t)
         rhs = -antidiag_sums(v @ cert.k + u @ (v.T @ s_mat)) / counts
         zdot = inner.hankel_directional(
             u, self.params.c, rhs, self.params.inner_tol,
@@ -356,8 +374,12 @@ class HankelAdapter(ProblemAdapter):
         return inner.assemble_hess_vec(u, v, cert, sdot)
 
 
-class MTFLAdapter(ProblemAdapter):
-    """Multi-task feature learning: one regression dual per task."""
+class MTFLAdapter(_SquareLossDual, ProblemAdapter):
+    """Multi-task feature learning: the square-loss dual with B_t = X_t U.
+
+    The features are X_all U over the N stacked samples, the pattern is the
+    T x N 0/1 task membership, and column t of M is X_t^T z_t.
+    """
 
     kind = "mtfl"
 
@@ -365,6 +387,10 @@ class MTFLAdapter(ProblemAdapter):
         super().__init__(params)
         self.taskset = taskset
         self.d, self.t = taskset.d, taskset.t
+        self._x_all = np.vstack([x_t for x_t, _ in taskset.tasks])
+        y = np.concatenate([y_t for _, y_t in taskset.tasks])
+        indptr = np.concatenate([[0], np.cumsum([y_t.size for _, y_t in taskset.tasks])])
+        self._set_pattern(indptr, np.arange(y.size), y.size, y)
 
     def _primal_data(self):
         return self.taskset.tasks
@@ -372,36 +398,14 @@ class MTFLAdapter(ProblemAdapter):
     def initialization_matrix(self):
         return np.column_stack([x_t.T @ y_t for x_t, y_t in self.taskset.tasks])
 
-    def evaluate_g(self, point):
-        u = _mat(point)
-        c = self.params.c
-        z_cols, factors, xus, m_cols, loss_part = [], [], [], [], 0.0
-        for x_t, y_t in self.taskset.tasks:
-            xu = x_t @ u
-            z, factor = inner.solve_column_square(xu, y_t, c)
-            z_cols.append(z)
-            factors.append(factor)
-            xus.append(xu)
-            m_cols.append(x_t.T @ z)
-            loss_part += y_t @ z - z @ z / (4.0 * c)
-        m = np.column_stack(m_cols)
-        k = u.T @ m
-        g = float(loss_part - 0.5 * np.sum(k * k))
-        cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z_cols,
-                               factors=factors, xu=xus)
-        self.last_certificate = cert
-        return g, cert
+    def _features(self, u):
+        return self._x_all @ u
 
-    def euc_hess_vec(self, point, v, cert):
-        c = self.params.c
-        cols = []
-        for t_idx, (x_t, _) in enumerate(self.taskset.tasks):
-            z, xu = cert.z[t_idx], cert.xu[t_idx]
-            xv = x_t @ v
-            w = xv @ (xu.T @ z) + xu @ (xv.T @ z)
-            zdot = -inner.apply_shifted_inverse(xu, cert.factors[t_idx], c, w)
-            cols.append(x_t.T @ zdot)
-        return inner.assemble_hess_vec(_mat(point), v, cert, np.column_stack(cols))
+    def _m_of(self, z):
+        # (Z^T X_all)^T with Z^T the T x N matrix of z on the task pattern
+        z_t = sp.csr_matrix((z, self._pattern_t.indices, self._pattern_t.indptr),
+                            shape=self._pattern_t.shape)
+        return (z_t @ self._x_all).T
 
 
 # --------------------------------------------------------------------------

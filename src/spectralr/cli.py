@@ -101,15 +101,21 @@ def _model_array(blob: dict, key: str, ndim: int) -> np.ndarray:
     return arr
 
 
+def _read_npz(path, flag) -> dict:
+    """Every array of an npz archive; CliError("<flag>: ...") if unreadable."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            return {key: npz[key] for key in npz.files}
+    except (OSError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # an .npy file loads as a bare array, which is no context manager
+        raise CliError(f"{flag}: cannot read {path!r} as an npz archive: {exc}") from None
+
+
 def load_model(path):
     """Read U and M back from model.npz; raises CliError("model_dir: ...")
     for missing keys, shapes that disagree, inconsistent CSC arrays and
     non-finite values."""
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            blob = {key: npz[key] for key in npz.files}
-    except (OSError, ValueError, zipfile.BadZipFile) as exc:
-        raise CliError(f"model_dir: cannot read {path!r}: {exc}") from None
+    blob = _read_npz(path, "model_dir")
     if "kind" not in blob:
         raise CliError("model_dir: model.npz has no 'kind' array")
     kind = str(blob["kind"])
@@ -160,7 +166,7 @@ def numeric_environment() -> dict:
     return env
 
 
-def parse_kv_spec(text: str, flag: str) -> dict:
+def parse_kv_spec(text: str, flag: str, required=()) -> dict:
     out = {}
     for part in text.split(","):
         if not part:
@@ -172,7 +178,21 @@ def parse_kv_spec(text: str, flag: str) -> dict:
             out[key.strip()] = float(value)
         except ValueError:
             raise CliError(f"{flag}: non-numeric value for {key!r}: {value!r}") from None
+    for key in required:
+        if key not in out:
+            raise CliError(f"{flag}: missing key {key!r}")
     return out
+
+
+def _synth_completion(spec: dict, seed: int):
+    return data.synth_completion(
+        int(spec["d"]), int(spec["T"]), int(spec["r"]), spec["frac"],
+        noise_sigma=spec.get("sigma", 0.0), seed=seed, nonneg=bool(spec.get("nonneg", 0)))
+
+
+def _lti_spec(spec: dict):
+    return data.LTISystemSpec(int(spec["r0"]), int(spec["d"]), int(spec["T"]),
+                              noise_sigma=spec.get("sigma", 0.05))
 
 
 def _add_solver_flags(p):
@@ -230,14 +250,8 @@ def build_parser() -> _Parser:
 
 def _load_completion_data(args):
     if args.synth:
-        spec = parse_kv_spec(args.synth, "--synth")
-        for key in ("d", "T", "r", "frac"):
-            if key not in spec:
-                raise CliError(f"--synth: missing key {key!r}")
-        synth = data.synth_completion(
-            int(spec["d"]), int(spec["T"]), int(spec["r"]), spec["frac"],
-            noise_sigma=spec.get("sigma", 0.0), seed=args.seed,
-            nonneg=bool(spec.get("nonneg", 0)))
+        spec = parse_kv_spec(args.synth, "--synth", ("d", "T", "r", "frac"))
+        synth = _synth_completion(spec, args.seed)
         train, test = synth.train, synth.test
         if spec.get("outfrac", 0.0) > 0:
             train = _plant_outliers(train, spec["outfrac"], spec.get("outmag", 10.0),
@@ -336,22 +350,17 @@ def cmd_completion_family(args) -> int:
 
 def cmd_hankel(args) -> int:
     if args.synth:
-        spec = parse_kv_spec(args.synth, "--synth")
-        for key in ("r0", "d", "T"):
-            if key not in spec:
-                raise CliError(f"--synth: missing key {key!r}")
-        lti = data.LTISystemSpec(int(spec["r0"]), int(spec["d"]), int(spec["T"]),
-                                 noise_sigma=spec.get("sigma", 0.05))
+        lti = _lti_spec(parse_kv_spec(args.synth, "--synth", ("r0", "d", "T")))
         y_true, y_noisy = data.synth_hankel(lti, args.seed)
         problem = adapters.HankelProblem(y_noisy, lti.d, lti.t)
     elif args.data:
-        y_noisy = np.loadtxt(args.data)
         if args.d is None or args.t_dim is None:
             raise CliError("--d and --T are required with --data for hankel")
         y_true = None
         try:
-            problem = adapters.HankelProblem(y_noisy, args.d, args.t_dim)
-        except ValueError as exc:
+            problem = adapters.HankelProblem(np.loadtxt(args.data, ndmin=1),
+                                             args.d, args.t_dim)
+        except (OSError, ValueError) as exc:
             raise CliError(f"--data: {exc}") from None
     else:
         raise CliError("one of --data or --synth is required")
@@ -368,36 +377,42 @@ def cmd_hankel(args) -> int:
 
 
 def _load_tasks_npz(path, flag, standardize=False):
-    try:
-        blob = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise CliError(f"{flag}: {exc}") from None
+    blob = _read_npz(path, flag)
     tasks = []
-    i = 0
-    while f"X{i}" in blob:
-        x_t = np.asarray(blob[f"X{i}"], dtype=float)
-        if standardize:
-            mu, sd = x_t.mean(axis=0), x_t.std(axis=0)
-            x_t = (x_t - mu) / np.where(sd > 0, sd, 1.0)
-        tasks.append((x_t, np.asarray(blob[f"y{i}"], dtype=float)))
-        i += 1
+    while f"X{len(tasks)}" in blob:
+        i = len(tasks)
+        if f"y{i}" not in blob:
+            raise CliError(f"{flag}: X{i} has no matching y{i} in {path}")
+        tasks.append((blob[f"X{i}"], blob[f"y{i}"]))
     if not tasks:
         raise CliError(f"{flag}: no X0/y0 arrays found in {path}")
     try:
-        return adapters.MTFLTaskSet(tasks)
-    except ValueError as exc:
+        taskset = adapters.MTFLTaskSet(tasks)
+    except (TypeError, ValueError) as exc:
         raise CliError(f"{flag}: {exc}") from None
+    if standardize:
+        # in place: the arrays were read from this archive alone
+        for x_t, _ in taskset.tasks:
+            sd = x_t.std(axis=0)
+            x_t -= x_t.mean(axis=0)
+            x_t /= np.where(sd > 0, sd, 1.0)
+    return taskset
 
 
 def cmd_mtfl(args) -> int:
     taskset = _load_tasks_npz(args.data, "--data", args.standardize)
+    test_set = None
+    if args.test_data:
+        test_set = _load_tasks_npz(args.test_data, "--test-data", args.standardize)
+        if test_set.d != taskset.d or test_set.t > taskset.t:
+            raise CliError(f"--test-data: {test_set.t} tasks of {test_set.d} features do not "
+                           f"fit the {taskset.t} training tasks of {taskset.d} features")
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
                                         inner_max_iters=args.inner_iters)
     adapter = adapters.MTFLAdapter(taskset, params)
     result, wall = _run_solver(adapter, args, taskset.d)
     test_metric = None
-    if args.test_data:
-        test_set = _load_tasks_npz(args.test_data, "--test-data", args.standardize)
+    if test_set is not None:
         factor = adapter.reconstruct(result.point, result.certificate)
         y_all, pred_all = [], []
         for t_idx, (x_t, y_t) in enumerate(test_set.tasks):
@@ -411,26 +426,15 @@ def cmd_mtfl(args) -> int:
 def cmd_synth(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     if args.completion:
-        spec = parse_kv_spec(args.completion, "--completion")
-        for key in ("d", "T", "r", "frac"):
-            if key not in spec:
-                raise CliError(f"--completion: missing key {key!r}")
-        synth = data.synth_completion(
-            int(spec["d"]), int(spec["T"]), int(spec["r"]), spec["frac"],
-            noise_sigma=spec.get("sigma", 0.0), seed=args.seed,
-            nonneg=bool(spec.get("nonneg", 0)))
+        spec = parse_kv_spec(args.completion, "--completion", ("d", "T", "r", "frac"))
+        synth = _synth_completion(spec, args.seed)
         data.save_triplets(os.path.join(args.output_dir, "train.txt"), synth.train)
         data.save_triplets(os.path.join(args.output_dir, "test.txt"), synth.test)
         print(f"synth: wrote train.txt ({synth.train.nnz} entries) and "
               f"test.txt ({synth.test.nnz} entries)")
         return 0
     if args.hankel:
-        spec = parse_kv_spec(args.hankel, "--hankel")
-        for key in ("r0", "d", "T"):
-            if key not in spec:
-                raise CliError(f"--hankel: missing key {key!r}")
-        lti = data.LTISystemSpec(int(spec["r0"]), int(spec["d"]), int(spec["T"]),
-                                 noise_sigma=spec.get("sigma", 0.05))
+        lti = _lti_spec(parse_kv_spec(args.hankel, "--hankel", ("r0", "d", "T")))
         y_true, y_noisy = data.synth_hankel(lti, args.seed)
         np.savetxt(os.path.join(args.output_dir, "y_true.txt"), y_true, fmt="%.17g")
         np.savetxt(os.path.join(args.output_dir, "y_noisy.txt"), y_noisy, fmt="%.17g")

@@ -34,25 +34,23 @@ class DualCertificate:
 
     m is the composite dual M: a scipy.sparse CSC matrix for the completion
     family, a dense d x T array for Hankel and multi-task learning.  k is
-    U^T M at the point, computed once where M is built.  z is the loss dual:
-    for square-loss completion the flat vector of one value per observed
-    entry in CSC order (equal to m.data); per-column arrays for the robust,
-    nonnegative and multi-task adapters; a single vector for Hankel.  s is
-    the constraint dual (a CSC matrix for the nonnegative case, the dense
-    d x T matrix for Hankel, else None).  factors holds what Hessian-vector
-    products reuse of the r x r systems I/(2C) + B_t^T B_t: the (T, r, r)
-    stack itself for square-loss completion, per-column Cholesky factors
-    for the nonnegative and multi-task adapters.
+    U^T M at the point, computed once where M is built.  z is the loss dual,
+    one flat vector for every kind: one value per observed entry in CSC
+    order for the completion family (column t is z[indptr[t]:indptr[t+1]]),
+    one value per sample in task order for multi-task learning, and one per
+    anti-diagonal for Hankel.  s is the constraint dual (a CSC matrix for the
+    nonnegative case, else None; the Hankel S is m itself).  factors is the
+    (T, r, r) stack of the systems I/(2C) + B_t^T B_t for the square-loss
+    duals, which Hessian-vector products reuse, else None.
     """
 
     kind: str
     g_value: float
     m: object
     k: np.ndarray
-    z: object
+    z: np.ndarray | None
     s: object = None
-    factors: object = None           # (T, r, r) Gram stack or per-column Cholesky
-    xu: list | None = None           # multi-task: cached X_t @ U blocks
+    factors: np.ndarray | None = None
     converged: bool = True
 
 
@@ -101,10 +99,12 @@ def apply_shifted_inverse(u_rows: np.ndarray, factor, c: float, w: np.ndarray) -
 def square_gram_stack(u_full: np.ndarray, pattern_t, c: float) -> np.ndarray:
     """The r x r systems G_t = I/(2C) + B_t^T B_t of every column at once.
 
-    B_t = U[omega_t] holds the rows observed in column t.  pattern_t is the
-    T x d 0/1 transpose of the observation pattern, so the whole stack is one
-    sparse-dense product with the d x r^2 matrix whose row i is U[i] (x) U[i].
-    Returns a (T, r, r) array.
+    B_t holds the rows of u_full that the T x n 0/1 matrix pattern_t selects
+    for column t: the observed rows U[omega_t] in completion (pattern_t is
+    the transposed observation pattern), the task's rows X_t U of the
+    stacked X_all U in multi-task learning (pattern_t is task membership).
+    The whole stack is one sparse-dense product with the n x r^2 matrix
+    whose row i is u_full[i] (x) u_full[i].  Returns a (T, r, r) array.
     """
     d, r = u_full.shape
     outer = (u_full[:, :, None] * u_full[:, None, :]).reshape(d, r * r)
@@ -237,10 +237,7 @@ def solve_column_nonneg(u_full: np.ndarray, omega: np.ndarray, y: np.ndarray,
     factor = cho_factor(b)
 
     def z_of(s):
-        if omega.size == 0:
-            return np.empty(0)
-        rhs = y - u_rows @ (u_full.T @ s)
-        return 2.0 * c * (rhs - u_rows @ cho_solve(factor, u_rows.T @ rhs))
+        return apply_shifted_inverse(u_rows, factor, c, y - u_rows @ (u_full.T @ s))
 
     def objective(s, z):
         m_r = (u_rows.T @ z if z.size else np.zeros(r)) + u_full.T @ s
@@ -295,6 +292,37 @@ def hankel_gram_apply(u_full: np.ndarray, c: float, counts: np.ndarray,
     return antidiag_sums(u_full @ (u_full.T @ s)) / counts + z / (2.0 * c)
 
 
+def _hankel_cg(u_full: np.ndarray, c: float, t: int, rhs: np.ndarray,
+               target: float, max_iters: int, z0: np.ndarray | None = None):
+    """Linear CG on (I/(2C) + H* U U^T H) z = rhs until ||residual|| <= target.
+
+    Starts from z0, or from zero without a Gram apply when z0 is None, so a
+    zero start makes one apply per CG step.  Returns (z, converged).
+    """
+    d = u_full.shape[0]
+    counts = antidiag_counts(d, t)
+    if z0 is None:
+        z, res = np.zeros_like(rhs), rhs.copy()
+    else:
+        z, res = z0, rhs - hankel_gram_apply(u_full, c, counts, d, t, z0)
+    p = res.copy()
+    rs = float(res @ res)
+    for _ in range(max_iters):
+        if np.sqrt(rs) <= target:
+            return z, True
+        ap = hankel_gram_apply(u_full, c, counts, d, t, p)
+        pap = float(p @ ap)
+        if pap <= 0:
+            break
+        alpha = rs / pap
+        z = z + alpha * p
+        res = res - alpha * ap
+        rs_new = float(res @ res)
+        p = res + (rs_new / rs) * p
+        rs = rs_new
+    return z, np.sqrt(rs) <= target
+
+
 def solve_hankel(u_full: np.ndarray, y: np.ndarray, c: float, tol: float,
                  max_iters: int, t: int, z0: np.ndarray | None = None):
     """Single coupled Hankel dual solve by linear conjugate gradient.
@@ -308,61 +336,21 @@ def solve_hankel(u_full: np.ndarray, y: np.ndarray, c: float, tol: float,
     tol * ||y||, restarting once from the current iterate on stagnation.
     Returns (z, converged).
     """
-    d = u_full.shape[0]
-    counts = antidiag_counts(d, t)
     target = tol * max(np.linalg.norm(y), 1e-300)
-    z = np.zeros_like(y) if z0 is None or z0.shape != y.shape else z0.copy()
-
-    def run(z_vec, budget):
-        res = y - hankel_gram_apply(u_full, c, counts, d, t, z_vec)
-        p = res.copy()
-        rs = float(res @ res)
-        for _ in range(budget):
-            if np.sqrt(rs) <= target:
-                return z_vec, True
-            ap = hankel_gram_apply(u_full, c, counts, d, t, p)
-            pap = float(p @ ap)
-            if pap <= 0:
-                break
-            alpha = rs / pap
-            z_vec = z_vec + alpha * p
-            res = res - alpha * ap
-            rs_new = float(res @ res)
-            p = res + (rs_new / rs) * p
-            rs = rs_new
-        return z_vec, np.sqrt(rs) <= target
-
-    z, ok = run(z, max_iters)
+    warm = z0 if z0 is not None and z0.shape == y.shape else None
+    z, ok = _hankel_cg(u_full, c, t, y, target, max_iters, warm)
     if not ok:
-        z, ok = run(z, max_iters)
+        z, ok = _hankel_cg(u_full, c, t, y, target, max_iters, z)
     return z, ok
 
 
 def hankel_directional(u_full: np.ndarray, c: float, rhs: np.ndarray,
                        tol: float, max_iters: int, t: int,
                        scale: float) -> np.ndarray:
-    """Solve the same SPD system with a perturbation right-hand side."""
-    d = u_full.shape[0]
-    counts = antidiag_counts(d, t)
+    """Solve the same SPD system with a perturbation right-hand side, from a
+    zero start, to tol * max(scale, ||rhs||)."""
     target = tol * max(scale, float(np.linalg.norm(rhs)), 1e-300)
-    z = np.zeros_like(rhs)
-    res = rhs.copy()
-    p = res.copy()
-    rs = float(res @ res)
-    for _ in range(max_iters):
-        if np.sqrt(rs) <= target:
-            break
-        ap = hankel_gram_apply(u_full, c, counts, d, t, p)
-        pap = float(p @ ap)
-        if pap <= 0:
-            break
-        alpha = rs / pap
-        z = z + alpha * p
-        res = res - alpha * ap
-        rs_new = float(res @ res)
-        p = res + (rs_new / rs) * p
-        rs = rs_new
-    return z
+    return _hankel_cg(u_full, c, t, rhs, target, max_iters)[0]
 
 
 # --------------------------------------------------------------------------

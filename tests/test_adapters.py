@@ -1,5 +1,7 @@
 """Application adapters: objective dispatch, predictions, metrics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -146,6 +148,63 @@ class TestBatchedSquareDual:
                     assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
+class TestBatchedMTFLDual:
+    # The batched square-loss dual of MTFLAdapter against the per-task closed
+    # form.  Rows B_t = X_t U are not bounded by ||U||_F = 1 here, so task t's
+    # system has condition number about kappa_t = 2C ||B_t||^2; the forward
+    # check runs where kappa_t stays within the completion test's 2e4.
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(1, 6), st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           st.integers(1, 4), st.floats(-2.0, 4.0), st.integers(0, 2**32 - 1))
+    def test_matches_per_task_oracle(self, d, sizes, r, log_c, seed):
+        c = 10.0 ** log_c
+        g = rng(seed)
+        tasks = [(g.standard_normal((n, d)), g.standard_normal(n)) for n in sizes]
+        u = g.standard_normal((d, r))
+        u /= np.linalg.norm(u)
+        v = g.standard_normal((d, r))
+        adapter = ad.MTFLAdapter(ad.MTFLTaskSet(tasks), params(c=c))
+        _, cert = adapter.evaluate_g(u)
+        assert cert.z.shape == (sum(sizes),)
+        assert cert.factors.shape == (len(sizes), r, r)
+        # record the right-hand side and solution of the Hessian's batched solve
+        solves = []
+        kernel = inner.shifted_inverse_columns
+
+        def spy(*args):
+            solves.append((args[-1], kernel(*args)))
+            return solves[-1][1]
+
+        with mock.patch.object(inner, "shifted_inverse_columns", spy):
+            hv = adapter.euc_hess_vec(u, v, cert)
+        (w, sol), = solves
+        mdot_ref, kappa, lo = [], 1.0, 0
+        for x, y in tasks:
+            hi = lo + y.size
+            xu, xv, z, w_t = x @ u, x @ v, cert.z[lo:hi], w[lo:hi]
+            kappa_t = 2.0 * c * np.linalg.norm(xu, 2) ** 2
+            kappa = max(kappa, kappa_t)
+            w_ref = xv @ (xu.T @ z) + xu @ (xv.T @ z)
+            assert (np.linalg.norm(w_t - w_ref)
+                    <= 1e-12 * np.linalg.norm(xv, 2) * np.linalg.norm(xu, 2) * np.linalg.norm(z))
+            z_ref, factor = inner.solve_column_square(xu, y, c)
+            sol_ref = inner.apply_shifted_inverse(xu, factor, c, w_t)
+            for got, ref, rhs in ((z, z_ref, y), (sol[lo:hi], sol_ref, w_t)):
+                assert square_backward_ok(xu, got, rhs, c), (lo, c)
+                assert square_backward_ok(xu, ref, rhs, c), (lo, c)
+                if kappa_t <= 2e4:
+                    assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+            mdot_ref.append(-(x.T @ sol_ref))
+            lo = hi
+        # the Hessian assembled from the per-task solves, to round-off of its
+        # terms before they cancel, amplified by the solves' conditioning
+        mdot_ref = np.column_stack(mdot_ref)
+        hv_ref = inner.assemble_hess_vec(u, v, cert, mdot_ref)
+        m2 = np.linalg.norm(cert.m, 2)
+        terms = np.linalg.norm(mdot_ref, 2) * m2 + m2 ** 2 * np.linalg.norm(v, 2)
+        assert np.linalg.norm(hv - hv_ref) <= 64 * np.finfo(float).eps * kappa * terms
+
+
 def box_active_set_margin(adapter, point, cert):
     """Smallest distance of any column from a change of its box active set:
     multiplier slack of fixed coordinates, distance to the nearest bound of
@@ -156,7 +215,8 @@ def box_active_set_margin(adapter, point, cert):
         idx, y = adapter.data.column(t_idx)
         if idx.size == 0:
             continue
-        u_rows, z = point.u[idx], cert.z[t_idx]
+        lo, hi = adapter.data.indptr[t_idx], adapter.data.indptr[t_idx + 1]
+        u_rows, z = point.u[idx], cert.z[lo:hi]
         grad = y - u_rows @ (u_rows.T @ z)
         free_room = c - np.abs(z) if eps == 0.0 else np.minimum(c - np.abs(z), np.abs(z))
         margin = np.where(z == c, grad - eps,

@@ -51,6 +51,69 @@ class TestErrors:
         assert "--data: task 0: non-finite" in capsys.readouterr().err
 
 
+class TestInputBoundary:
+    # Bad input files end in "error: <flag>: ..." and exit 1, never a traceback.
+    def hankel(self, tmp_path, *flags):
+        return cli.main(["hankel", *flags, "--rank", "1", "--C", "1",
+                         "-o", str(tmp_path / "h")])
+
+    def mtfl(self, tmp_path, *flags):
+        return cli.main(["mtfl", *flags, "--rank", "1", "--C", "1", "-o", str(tmp_path / "m")])
+
+    def test_hankel_missing_file(self, tmp_path, capsys):
+        assert self.hankel(tmp_path, "--data", str(tmp_path / "nope.txt"), "--d", "3",
+                           "--T", "4") == 1
+        assert capsys.readouterr().err.startswith("error: --data: ")
+
+    def test_hankel_non_numeric_file(self, tmp_path, capsys):
+        signal = tmp_path / "y.txt"
+        signal.write_text("1.0\nabc\n2.0\n")
+        assert self.hankel(tmp_path, "--data", str(signal), "--d", "2", "--T", "2") == 1
+        assert capsys.readouterr().err.startswith("error: --data: ")
+
+    def test_hankel_two_column_file(self, tmp_path, capsys):
+        signal = tmp_path / "y.txt"
+        signal.write_text("1.0 2.0\n3.0 4.0\n")
+        assert self.hankel(tmp_path, "--data", str(signal), "--d", "2", "--T", "3") == 1
+        assert capsys.readouterr().err.startswith("error: --data: need a 1-D y")
+
+    def test_hankel_shape_flags_checked_before_the_file(self, tmp_path, capsys):
+        assert self.hankel(tmp_path, "--data", str(tmp_path / "nope.txt")) == 1
+        assert capsys.readouterr().err.startswith("error: --d and --T are required")
+
+    def test_mtfl_non_npz_file(self, tmp_path, capsys):
+        text = tmp_path / "tasks.txt"
+        text.write_text("1 2 3\n")
+        assert self.mtfl(tmp_path, "--data", str(text)) == 1
+        assert capsys.readouterr().err.startswith("error: --data: cannot read")
+
+    def test_mtfl_npy_file(self, tmp_path, capsys):
+        np.save(tmp_path / "x.npy", np.ones((3, 2)))
+        assert self.mtfl(tmp_path, "--data", str(tmp_path / "x.npy")) == 1
+        assert capsys.readouterr().err.startswith("error: --data: cannot read")
+
+    def test_mtfl_x_without_y(self, tmp_path, capsys):
+        np.savez(tmp_path / "tasks.npz", X0=np.ones((3, 2)))
+        assert self.mtfl(tmp_path, "--data", str(tmp_path / "tasks.npz")) == 1
+        assert capsys.readouterr().err.startswith("error: --data: X0 has no matching y0")
+
+    @pytest.mark.parametrize("test_arrays", [
+        {"X0": np.ones((2, 3)), "y0": np.ones(2), "X1": np.ones((2, 3)), "y1": np.ones(2),
+         "X2": np.ones((2, 3)), "y2": np.ones(2)},
+        {"X0": np.ones((2, 4)), "y0": np.ones(2)},
+    ], ids=["more_tasks", "other_features"])
+    def test_mtfl_test_set_checked_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                  test_arrays):
+        g = np.random.default_rng(0)
+        np.savez(tmp_path / "train.npz", X0=g.standard_normal((4, 3)), y0=g.standard_normal(4),
+                 X1=g.standard_normal((5, 3)), y1=g.standard_normal(5))
+        np.savez(tmp_path / "test.npz", **test_arrays)
+        monkeypatch.setattr(cli, "_run_solver", lambda *a: pytest.fail("solver ran"))
+        assert self.mtfl(tmp_path, "--data", str(tmp_path / "train.npz"),
+                         "--test-data", str(tmp_path / "test.npz")) == 1
+        assert capsys.readouterr().err.startswith("error: --test-data: ")
+
+
 class TestCompleteRun:
     def test_end_to_end_outputs(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("OMP_NUM_THREADS", "3")

@@ -10,7 +10,13 @@ import scipy.sparse.linalg as spla
 
 from spectralr import inner, solvers
 from spectralr.adapters import make_completion_adapter
-from spectralr.data import antidiag_spread, antidiag_sums, hankel_matrix, synth_completion
+from spectralr.data import (
+    antidiag_counts,
+    antidiag_spread,
+    antidiag_sums,
+    hankel_matrix,
+    synth_completion,
+)
 from spectralr.inner import (
     DualCertificate,
     RegularizationParams,
@@ -328,6 +334,29 @@ class TestNonneg:
 
 
 class TestHankelInner:
+    def test_directional_residual_and_one_apply_per_step(self, monkeypatch):
+        g = rng(24)
+        d, t, c, tol = 4, 6, 3.0, 1e-10
+        u = g.standard_normal((d, 2))
+        u /= np.linalg.norm(u)
+        rhs = g.standard_normal(d + t - 1)
+        counts = antidiag_counts(d, t)
+        apply = inner.hankel_gram_apply
+        calls = []
+        monkeypatch.setattr(inner, "hankel_gram_apply",
+                            lambda *args: calls.append(1) or apply(*args))
+        z = inner.hankel_directional(u, c, rhs, tol, 1000, t, scale=0.5)
+        target = tol * np.linalg.norm(rhs)
+        resid = np.linalg.norm(apply(u, c, counts, d, t, z) - rhs)
+        assert 0 < len(calls) < 1000
+        assert resid <= target
+        # A zero start needs no apply for its first residual: with tol = 0
+        # every budgeted CG step runs and makes exactly one apply.
+        for steps in range(1, 6):
+            calls.clear()
+            inner.hankel_directional(u, c, rhs, 0.0, steps, t, scale=0.5)
+            assert len(calls) == steps
+
     def test_zero_data(self):
         u = rng(14).standard_normal((3, 2))
         u /= np.linalg.norm(u)
@@ -443,11 +472,8 @@ class TestGradientAndOperators:
             dense = np.zeros((8, 7))
             for t_idx in range(7):
                 idx, _ = train.column(t_idx)
-                if kind == "completion":
-                    # square loss: one flat z in CSC order
-                    dense[idx, t_idx] = cert.z[train.indptr[t_idx]:train.indptr[t_idx + 1]]
-                else:
-                    dense[idx, t_idx] = cert.z[t_idx]
+                # every kind: one flat z in CSC order
+                dense[idx, t_idx] = cert.z[train.indptr[t_idx]:train.indptr[t_idx + 1]]
             if nonneg:
                 assert cert.s.nnz > 0
                 dense += cert.s.toarray()
