@@ -11,7 +11,9 @@ Square-loss completion and multi-task learning share one batched
 square-loss dual: one (T, r, r) Gram stack per point and one batched r x r
 solve, in evaluate_g and in every Hessian-vector product.  They differ only
 in the row features (U, or X_all U over the stacked samples) and in how z
-becomes M.  The robust and nonnegative adapters solve one column at a time.
+becomes M.  The robust and nonnegative adapters solve one column at a time:
+the robust box dual by a warm-started active set, the nonnegative dual
+exactly as an r-row nonnegative least-squares problem (no warm start).
 """
 
 from __future__ import annotations
@@ -289,13 +291,11 @@ class NonnegCompletionAdapter(_CompletionBase):
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
-        warm = self.last_certificate
         z_cols, s_rows, s_vals, converged = [], [], [], True
         for t_idx in range(self.t):
             idx, y = self.data.column(t_idx)
             z, s, _, ok = inner.solve_column_nonneg(
-                u, idx, y, c, self.params.inner_tol, self.params.inner_max_iters,
-                None if warm is None else _dense_column(warm.s, t_idx))
+                u, idx, y, c, self.params.inner_tol, self.params.inner_max_iters)
             s[np.abs(s) < inner.SPARSE_PRUNE] = 0.0
             snz = np.flatnonzero(s)
             z_cols.append(z)

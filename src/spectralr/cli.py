@@ -233,7 +233,8 @@ def build_parser() -> _Parser:
                    help="npz archive with arrays X0,y0,X1,y1,...")
     p.add_argument("--test-data", help="npz archive with matching test tasks")
     p.add_argument("--standardize", action="store_true",
-                   help="z-score features per column before fitting")
+                   help="z-score each task's features by its training mean and "
+                        "deviation, test features by the same")
     _add_solver_flags(p)
 
     p = sub.add_parser("synth")
@@ -269,6 +270,9 @@ def _load_completion_data(args):
             test = data.load_triplets(args.test_data, train.d, train.t)
         except (OSError, data.TripletFormatError) as exc:
             raise CliError(f"--test-data: {exc}") from None
+        if (test.d, test.t) != (train.d, train.t):
+            raise CliError(f"--test-data: a {test.d} x {test.t} matrix does not fit the "
+                           f"{train.d} x {train.t} training matrix")
     return train, test
 
 
@@ -376,7 +380,7 @@ def cmd_hankel(args) -> int:
     return _finish_run(args, adapter, result, wall, test_metric)
 
 
-def _load_tasks_npz(path, flag, standardize=False):
+def _load_tasks_npz(path, flag):
     blob = _read_npz(path, flag)
     tasks = []
     while f"X{len(tasks)}" in blob:
@@ -387,26 +391,35 @@ def _load_tasks_npz(path, flag, standardize=False):
     if not tasks:
         raise CliError(f"{flag}: no X0/y0 arrays found in {path}")
     try:
-        taskset = adapters.MTFLTaskSet(tasks)
+        return adapters.MTFLTaskSet(tasks)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{flag}: {exc}") from None
-    if standardize:
-        # in place: the arrays were read from this archive alone
-        for x_t, _ in taskset.tasks:
-            sd = x_t.std(axis=0)
-            x_t -= x_t.mean(axis=0)
-            x_t /= np.where(sd > 0, sd, 1.0)
-    return taskset
+
+
+def _standardize(taskset, test_set):
+    """Z-score each training task's features by its own mean and deviation,
+    and the matching test task's features by the same statistics (the model
+    has no intercept, so the test set must be shifted as the training set
+    was).  In place: the arrays were read from the archives alone."""
+    test_x = [] if test_set is None else [x for x, _ in test_set.tasks]
+    for t_idx, (x_t, _) in enumerate(taskset.tasks):
+        mean, sd = x_t.mean(axis=0), x_t.std(axis=0)
+        sd = np.where(sd > 0, sd, 1.0)
+        for x in [x_t] + test_x[t_idx:t_idx + 1]:
+            x -= mean
+            x /= sd
 
 
 def cmd_mtfl(args) -> int:
-    taskset = _load_tasks_npz(args.data, "--data", args.standardize)
+    taskset = _load_tasks_npz(args.data, "--data")
     test_set = None
     if args.test_data:
-        test_set = _load_tasks_npz(args.test_data, "--test-data", args.standardize)
+        test_set = _load_tasks_npz(args.test_data, "--test-data")
         if test_set.d != taskset.d or test_set.t > taskset.t:
             raise CliError(f"--test-data: {test_set.t} tasks of {test_set.d} features do not "
                            f"fit the {taskset.t} training tasks of {taskset.d} features")
+    if args.standardize:
+        _standardize(taskset, test_set)
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
                                         inner_max_iters=args.inner_iters)
     adapter = adapters.MTFLAdapter(taskset, params)

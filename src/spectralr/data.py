@@ -127,10 +127,14 @@ def load_triplets(path, d: int | None = None, t: int | None = None) -> ColumnSpa
             if line.startswith("%%"):
                 if header is not None or rows:
                     raise TripletFormatError(f"line {lineno}: stray header line")
-                parts = line[2:].replace(",", " ").split()
-                if len(parts) != 3:
-                    raise TripletFormatError(f"line {lineno}: header needs 'd T nnz'")
-                header = tuple(int(p) for p in parts)
+                try:
+                    header = tuple(int(p) for p in line[2:].replace(",", " ").split())
+                except ValueError:
+                    header = ()
+                if len(header) != 3 or min(header) < 0:
+                    raise TripletFormatError(
+                        f"line {lineno}: header needs three nonnegative integers "
+                        f"'d T nnz', got {line!r}")
                 continue
             if line.startswith("%") or line.startswith("#"):
                 continue

@@ -244,6 +244,27 @@ class TestBoxHessian:
         assert worst_fd <= 1e-5 and worst_sym <= 1e-6
 
 
+class TestNonnegHessian:
+    # A nonnegative frame, so that the rows of U do not span R^r as a cone:
+    # under a signed frame s >= 0 can cancel B^T z in every column, which
+    # leaves g flat (gradient at round-off) and nothing to difference.  Here
+    # s is positive in some columns and zero with a positive multiplier in
+    # others.
+    @pytest.mark.parametrize("point_seed", [21, 22])
+    def test_hessian_matches_finite_differences(self, point_seed):
+        from tests.test_acceptance import fd_hessian_errors
+        synth = synth_completion(8, 6, rank=2, sample_fraction=0.6, noise_sigma=0.3, seed=4)
+        adapter = ad.make_completion_adapter(
+            "nonneg_completion", synth.train,
+            inner.RegularizationParams(c=3.0, inner_tol=1e-13, inner_max_iters=5000))
+        point = normalized_point(np.abs(rng(point_seed).standard_normal((8, 2))))
+        _, cert = adapter.evaluate_g(point)
+        assert cert.converged and cert.s.nnz > 0
+        assert np.linalg.norm(adapter.euc_gradient(point, cert)) > 1.0
+        worst_fd, worst_sym = fd_hessian_errors(adapter, point, n_dirs=6, seed=23)
+        assert worst_fd <= 1e-5 and worst_sym <= 1e-6
+
+
 class TestMTFLTypes:
     def test_dimension_mismatch_rejected(self):
         g = rng(14)

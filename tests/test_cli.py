@@ -97,6 +97,27 @@ class TestInputBoundary:
         assert self.mtfl(tmp_path, "--data", str(tmp_path / "tasks.npz")) == 1
         assert capsys.readouterr().err.startswith("error: --data: X0 has no matching y0")
 
+    def complete(self, tmp_path, *flags):
+        return cli.main(["complete", *flags, "--rank", "1", "--C", "1",
+                         "-o", str(tmp_path / "c")])
+
+    def test_triplet_bad_header(self, tmp_path, capsys):
+        path = tmp_path / "train.txt"
+        path.write_text("%%3.5 4 1\n1 1 1.0\n")
+        assert self.complete(tmp_path, "--data", str(path)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --data: line 1: header needs three nonnegative integers")
+
+    def test_triplet_test_set_dimensions_checked_before_solving(self, tmp_path, capsys,
+                                                                monkeypatch):
+        train, test = tmp_path / "train.txt", tmp_path / "test.txt"
+        train.write_text("1 1 1.0\n2 2 2.0\n3 3 3.0\n")
+        test.write_text("%%5 6 1\n5 6 1.0\n")
+        monkeypatch.setattr(cli, "_run_solver", lambda *a: pytest.fail("solver ran"))
+        assert self.complete(tmp_path, "--data", str(train), "--test-data", str(test)) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --test-data: a 5 x 6 matrix does not fit the 3 x 3 training matrix")
+
     @pytest.mark.parametrize("test_arrays", [
         {"X0": np.ones((2, 3)), "y0": np.ones(2), "X1": np.ones((2, 3)), "y1": np.ones(2),
          "X2": np.ones((2, 3)), "y2": np.ones(2)},
@@ -344,4 +365,21 @@ class TestMTFLCommand:
         assert code == 0
         summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["metric_kind"] == "nmse"
+        assert summary["test_metric"] < 0.05
+
+    def test_standardize_applies_training_statistics_to_test_set(self, tmp_path):
+        # The model has no intercept, so test features drawn with another
+        # mean and scale are only predicted well when they are shifted and
+        # scaled as the training features were.
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal(6)
+        x = rng.standard_normal((40, 6))
+        xt = 3.0 * rng.standard_normal((40, 6)) + 5.0
+        np.savez(tmp_path / "train.npz", X0=x, y0=x @ w)
+        np.savez(tmp_path / "test.npz", X0=xt, y0=xt @ w)
+        out = str(tmp_path / "run")
+        assert cli.main(["mtfl", "--data", str(tmp_path / "train.npz"),
+                         "--test-data", str(tmp_path / "test.npz"), "--standardize",
+                         "--rank", "1", "--C", "100", "-o", out]) == 0
+        summary = json.load(open(os.path.join(out, "summary.json")))
         assert summary["test_metric"] < 0.05

@@ -166,6 +166,14 @@ class TestTripletIO:
         assert (m.d, m.t) == (4, 3)
         assert m.to_dense()[1, 2] == -1.5
 
+    @pytest.mark.parametrize("header", ["%%a b c", "%%3.5 4 1", "%%-1 4 0"])
+    def test_bad_header_reports_line(self, tmp_path, header):
+        path = tmp_path / "m.txt"
+        path.write_text(f"% comment\n{header}\n1 1 1.0\n")
+        with pytest.raises(TripletFormatError,
+                           match="line 2: header needs three nonnegative integers"):
+            load_triplets(path)
+
     def test_empty_file_with_dims(self, tmp_path):
         path = tmp_path / "m.txt"
         path.write_text("% nothing here\n")

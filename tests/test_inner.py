@@ -20,6 +20,7 @@ from spectralr.data import (
 from spectralr.inner import (
     DualCertificate,
     RegularizationParams,
+    apply_shifted_inverse,
     duality_gap,
     nuclear_norm_sq,
     primal_objective,
@@ -313,24 +314,60 @@ class TestNonneg:
         assert np.allclose(z, 0.0, atol=1e-12) and np.allclose(s, 0.0, atol=1e-12)
         assert ok
 
-    def test_objective_monotone_over_iterations(self):
-        g = rng(13)
+    @settings(deadline=None, max_examples=150, derandomize=True)
+    @given(st.integers(1, 6), st.integers(1, 3), st.floats(-1.0, 4.0),
+           st.booleans(), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_exact_against_enumeration(self, d, r, log_c, nonneg_u, nonneg_y, seed):
+        g = rng(seed)
+        u = g.standard_normal((d, r))
+        u = np.abs(u) if nonneg_u else u
+        u /= np.linalg.norm(u)
+        omega = np.sort(g.permutation(d)[:int(g.integers(0, d + 1))])
+        y = g.standard_normal(omega.size)
+        y = np.abs(y) if nonneg_y else y
+        c, tol = 10.0 ** log_c, 1e-10
+        z, s, _, ok = solve_column_nonneg(u, omega, y, c, tol, 1000)
+        assert ok
+        assert np.all(s >= 0.0)
+        bz, us = u[omega].T @ z, u.T @ s
+        kkt = np.max(np.abs(np.minimum(s, u @ (bz + us))))
+        assert kkt <= tol * max(1.0, np.linalg.norm(bz) + np.linalg.norm(us))
+        obj = y @ z - z @ z / (4 * c) - 0.5 * np.sum((bz + us) ** 2)
+        obj_or, _, _ = nonneg_enum_oracle(u, omega, y, c)
+        assert abs(obj - obj_or) <= 1e-9 * max(1.0, abs(obj_or))
+
+    def test_iteration_cap_returns_feasible_zero(self):
+        g = rng(0)
         u = g.standard_normal((5, 2))
         u /= np.linalg.norm(u)
         omega = np.array([0, 2, 4])
-        y = g.standard_normal(3)
-        c = 1.0
+        y = 3.0 * g.standard_normal(3)
+        z, s, factor, ok = solve_column_nonneg(u, omega, y, 1.0, 1e-10, 1000)
+        assert ok and np.count_nonzero(s) == 2
+        # two positive s take nnls more than one iteration
+        z, s, factor, ok = solve_column_nonneg(u, omega, y, 1.0, 1e-10, 1)
+        assert not ok
+        assert np.array_equal(s, np.zeros(5))
+        assert np.array_equal(z, apply_shifted_inverse(u[omega], factor, 1.0, y))
 
-        def obj(z, s):
-            mr = u[omega].T @ z + u.T @ s
-            return y @ z - z @ z / (4 * c) - 0.5 * mr @ mr
+    def test_package_import_leaves_scipy_optimize_unloaded(self):
+        # scipy.optimize costs about 15 MiB of resident memory, so only a
+        # nonnegative dual solve may load it.
+        import os
+        import subprocess
+        import sys
 
-        prev = -np.inf
-        for iters in (1, 2, 4, 8, 16, 64, 256):
-            z, s, _, _ = solve_column_nonneg(u, omega, y, c, 0.0, iters)
-            val = obj(z, s)
-            assert val >= prev - 1e-10
-            prev = val
+        import spectralr
+
+        # the child imports the same package as this process
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(spectralr.__file__))}
+        code = ("import sys, spectralr, spectralr.cli, spectralr.inner, "
+                "spectralr.adapters, spectralr.solvers; "
+                "print('scipy.optimize' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
 
 class TestHankelInner:
