@@ -28,7 +28,7 @@ from .data import (
     ColumnSparseMatrix,
     antidiag_counts,
     antidiag_means,
-    antidiag_sums,
+    antidiag_spread,
     hankel_matrix,
 )
 from .inner import (
@@ -353,25 +353,42 @@ class HankelAdapter(ProblemAdapter):
         z, ok = inner.solve_hankel(
             u, self.problem.y_noisy, c, self.params.inner_tol,
             self.params.inner_max_iters, self.t, warm)
-        s_mat = inner.hankel_spread_dual(z, antidiag_counts(self.d, self.t), self.d, self.t)
+        x = z / antidiag_counts(self.d, self.t)
+        s_mat = antidiag_spread(x, self.d, self.t)
         k = u.T @ s_mat
         g = float(z @ self.problem.y_noisy - z @ z / (4.0 * c) - 0.5 * np.sum(k ** 2))
+        nfft = inner.hankel_fft_len(z.size)
+        spectra = (np.fft.rfft(u, nfft, axis=0), np.fft.rfft(x, nfft),
+                   np.fft.rfft(k.T, nfft, axis=0))
         cert = DualCertificate(kind=self.kind, g_value=g, m=s_mat, k=k,
-                               z=z, converged=ok)
+                               z=z, factors=spectra, converged=ok)
         self.last_certificate = cert
         return g, cert
 
     def euc_hess_vec(self, point, v, cert):
+        # M = H(x) and Mdot = H(xdot) are Hankel, so every product with them
+        # is a correlation or convolution with x or xdot (hankel_gram_apply).
         u = _mat(point)
-        s_mat = cert.m
-        counts = antidiag_counts(self.d, self.t)
-        rhs = -antidiag_sums(v @ cert.k + u @ (v.T @ s_mat)) / counts
+        d, t = self.d, self.t
+        counts = antidiag_counts(d, t)
+        n = counts.size
+        nfft = inner.hankel_fft_len(n)
+        u_hat, x_hat, k_hat = cert.factors
+        v_hat = np.fft.rfft(v, nfft, axis=0)
+        kv = inner.hankel_corr(v_hat, x_hat, nfft, t)  # (V^T M)^T
+        # -H*(V K + U V^T M), H* the anti-diagonal sums over counts
+        kv_hat = np.fft.rfft(kv, nfft, axis=0)
+        rhs = -(inner.hankel_conv_sum(v_hat, k_hat, nfft, n)
+                + inner.hankel_conv_sum(u_hat, kv_hat, nfft, n)) / counts
         zdot = inner.hankel_directional(
             u, self.params.c, rhs, self.params.inner_tol,
-            self.params.inner_max_iters, self.t,
-            float(np.linalg.norm(self.problem.y_noisy)))
-        sdot = inner.hankel_spread_dual(zdot, counts, self.d, self.t)
-        return inner.assemble_hess_vec(u, v, cert, sdot)
+            self.params.inner_max_iters, t,
+            float(np.linalg.norm(self.problem.y_noisy)), u_hat)
+        xdot_hat = np.fft.rfft(zdot / counts, nfft)
+        kdot = inner.hankel_corr(u_hat, xdot_hat, nfft, t)  # (U^T Mdot)^T
+        # D grad[V] = -(Mdot K^T + M (U^T Mdot + V^T M)^T), as assemble_hess_vec
+        return -(inner.hankel_corr(k_hat, xdot_hat, nfft, d)
+                 + inner.hankel_corr(np.fft.rfft(kdot + kv, nfft, axis=0), x_hat, nfft, d))
 
 
 class MTFLAdapter(_SquareLossDual, ProblemAdapter):

@@ -6,6 +6,12 @@ value, the Euclidean gradient -M M^T U, directional derivatives for
 Hessian-vector products, the optimality gap, and the primal reconstruction
 W = U U^T M.  M is a scipy.sparse CSC matrix or a dense array, and M M^T is
 never formed.
+
+The Hankel M is the d x t Hankel matrix H(x) of the vector x = z / counts
+(z the anti-diagonal duals, counts the anti-diagonal lengths).  It is built
+dense once per point, for sigma_1 and the gradient; every product inside
+the dual CG and the Hessian-vector products is instead a correlation or
+convolution with x, applied by FFT in O(r (d + t) log(d + t)).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
-from .data import antidiag_counts, antidiag_spread, antidiag_sums
+from .data import antidiag_counts
 
 # Entries of sparse constraint duals below this are dropped.
 SPARSE_PRUNE = 1e-14
@@ -39,9 +45,13 @@ class DualCertificate:
     order for the completion family (column t is z[indptr[t]:indptr[t+1]]),
     one value per sample in task order for multi-task learning, and one per
     anti-diagonal for Hankel.  s is the constraint dual (a CSC matrix for the
-    nonnegative case, else None; the Hankel S is m itself).  factors is the
-    (T, r, r) stack of the systems I/(2C) + B_t^T B_t for the square-loss
-    duals, which Hessian-vector products reuse, else None.
+    nonnegative case, else None; the Hankel S is m itself).  factors is what
+    Hessian-vector products reuse, else None: the (T, r, r) stack of the
+    systems I/(2C) + B_t^T B_t for the square-loss duals, and for Hankel the
+    rfft spectra, at hankel_fft_len(d + T - 1), of the columns of U, of
+    x = z / counts and of the columns of K^T.  The Hankel m is the dense
+    H(x) of that x: sigma_1, the gradient and the saved model read it, while
+    the Hankel Hessian-vector products work by FFT on x alone.
     """
 
     kind: str
@@ -50,7 +60,7 @@ class DualCertificate:
     k: np.ndarray
     z: np.ndarray | None
     s: object = None
-    factors: np.ndarray | None = None
+    factors: object = None
     converged: bool = True
 
 
@@ -259,38 +269,72 @@ def solve_column_nonneg(u_full: np.ndarray, omega: np.ndarray, y: np.ndarray,
     return z, s, factor, solved and resid <= tol * scale
 
 
-def hankel_spread_dual(z: np.ndarray, counts: np.ndarray, d: int, t: int) -> np.ndarray:
-    """Constraint dual S for a given z: the equal-share (minimum-Frobenius-
-    norm) matrix on each anti-diagonal, so that antidiag_sums(S) = z."""
-    return antidiag_spread(z / counts, d, t)
+def hankel_fft_len(n: int) -> int:
+    """Transform length for the Hankel products: the power of two >= n.
+
+    The products below read and write only the first n = d + t - 1 entries
+    of each sequence, so from this length on circular correlation and
+    convolution equal the linear ones (no wrap-around).
+    """
+    return 1 << (n - 1).bit_length()
+
+
+def hankel_corr(a_hat: np.ndarray, x_hat: np.ndarray, nfft: int, m: int) -> np.ndarray:
+    """Correlations c_k[j] = sum_i a_k[i] x[i + j], j < m, of each column a_k
+    of a with the vector x, from their spectra; an m x r array."""
+    return np.fft.irfft(np.conj(a_hat) * x_hat[:, None], nfft, axis=0)[:m]
+
+
+def hankel_conv_sum(a_hat: np.ndarray, b_hat: np.ndarray, nfft: int, n: int) -> np.ndarray:
+    """sum_k conv(a_k, b_k) over the columns of a and b, first n entries,
+    from their spectra."""
+    return np.fft.irfft(np.sum(a_hat * b_hat, axis=1), nfft)[:n]
 
 
 def hankel_gram_apply(u_full: np.ndarray, c: float, counts: np.ndarray,
-                      d: int, t: int, z: np.ndarray) -> np.ndarray:
-    """(I/(2C) + H* U U^T H) z where H maps z to its equal-share matrix."""
-    s = antidiag_spread(z / counts, d, t)
-    return antidiag_sums(u_full @ (u_full.T @ s)) / counts + z / (2.0 * c)
+                      d: int, t: int, z: np.ndarray,
+                      u_hat: np.ndarray | None = None) -> np.ndarray:
+    """(I/(2C) + H* U U^T H) z where H maps z to its equal-share matrix.
+
+    H z is the Hankel matrix of x = z / counts, so K = U^T H z holds the r
+    correlations of U's columns with x, and H* U K = antidiag_sums(U K) /
+    counts is the sum of the convolutions of U's columns with K's rows.
+    Both run by FFT in O(r n log n); nothing d x t is formed.  u_hat is U's
+    spectrum at hankel_fft_len(d + t - 1), computed here when not given.
+    """
+    n = d + t - 1
+    nfft = hankel_fft_len(n)
+    if u_hat is None:
+        u_hat = np.fft.rfft(u_full, nfft, axis=0)
+    k = hankel_corr(u_hat, np.fft.rfft(z / counts, nfft), nfft, t)
+    huk = hankel_conv_sum(u_hat, np.fft.rfft(k, nfft, axis=0), nfft, n) / counts  # H* U K
+    return huk + z / (2.0 * c)
 
 
 def _hankel_cg(u_full: np.ndarray, c: float, t: int, rhs: np.ndarray,
-               target: float, max_iters: int, z0: np.ndarray | None = None):
+               target: float, max_iters: int, z0: np.ndarray | None = None,
+               u_hat: np.ndarray | None = None):
     """Linear CG on (I/(2C) + H* U U^T H) z = rhs until ||residual|| <= target.
 
     Starts from z0, or from zero without a Gram apply when z0 is None, so a
-    zero start makes one apply per CG step.  Returns (z, converged).
+    zero start makes one apply per CG step.  u_hat is U's spectrum (see
+    hankel_gram_apply), computed once here when not given.  Returns
+    (z, converged).
     """
     d = u_full.shape[0]
     counts = antidiag_counts(d, t)
+    if u_hat is None:
+        u_hat = np.fft.rfft(u_full, hankel_fft_len(d + t - 1), axis=0)
     if z0 is None:
         z, res = np.zeros_like(rhs), rhs.copy()
     else:
-        z, res = z0, rhs - hankel_gram_apply(u_full, c, counts, d, t, z0)
+        z, res = z0, rhs - hankel_gram_apply(u_full, c, counts, d, t, z0, u_hat)
     p = res.copy()
     rs = float(res @ res)
     for _ in range(max_iters):
         if np.sqrt(rs) <= target:
             return z, True
-        ap = hankel_gram_apply(u_full, c, counts, d, t, p)
+        ap = hankel_gram_apply(u_full, c, counts, d, t, p, u_hat)
         pap = float(p @ ap)
         if pap <= 0:
             break
@@ -326,11 +370,12 @@ def solve_hankel(u_full: np.ndarray, y: np.ndarray, c: float, tol: float,
 
 def hankel_directional(u_full: np.ndarray, c: float, rhs: np.ndarray,
                        tol: float, max_iters: int, t: int,
-                       scale: float) -> np.ndarray:
+                       scale: float, u_hat: np.ndarray | None = None) -> np.ndarray:
     """Solve the same SPD system with a perturbation right-hand side, from a
-    zero start, to tol * max(scale, ||rhs||)."""
+    zero start, to tol * max(scale, ||rhs||).  u_hat is U's spectrum (see
+    hankel_gram_apply), computed here when not given."""
     target = tol * max(scale, float(np.linalg.norm(rhs)), 1e-300)
-    return _hankel_cg(u_full, c, t, rhs, target, max_iters)[0]
+    return _hankel_cg(u_full, c, t, rhs, target, max_iters, u_hat=u_hat)[0]
 
 
 # --------------------------------------------------------------------------

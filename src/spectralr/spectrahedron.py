@@ -33,8 +33,9 @@ def _checksum(a: np.ndarray) -> int:
 class ManifoldPoint:
     """A d x r matrix with unit Frobenius norm.
 
-    Use :func:`manifold_point` to construct; it validates the norm and
-    freezes the array so shared read-only use across threads is safe.
+    Use :func:`manifold_point` to construct; it validates the norm, stores a
+    read-only copy of the array, and records its checksum, which tangent
+    vectors carry to show the point they belong to.
     """
 
     u: np.ndarray

@@ -265,6 +265,22 @@ class TestNonnegHessian:
         assert worst_fd <= 1e-5 and worst_sym <= 1e-6
 
 
+class TestHankelHessian:
+    # The FFT Hessian-vector product against central differences of the
+    # gradient, and its symmetry, with criterion 4's tolerances.
+    @pytest.mark.parametrize("d, t, r", [(4, 5, 3), (12, 15, 3), (30, 40, 4)])
+    def test_hessian_matches_finite_differences(self, d, t, r):
+        from spectralr.data import LTISystemSpec, synth_hankel
+        from tests.test_acceptance import fd_hessian_errors
+        _, y_noisy = synth_hankel(LTISystemSpec(3, d, t, 0.05), seed=5)
+        adapter = ad.HankelAdapter(
+            ad.HankelProblem(y_noisy, d, t),
+            inner.RegularizationParams(c=5.0, inner_tol=1e-13, inner_max_iters=5000))
+        point = random_point(d, r, rng(24))
+        worst_fd, worst_sym = fd_hessian_errors(adapter, point, n_dirs=6, seed=23)
+        assert worst_fd <= 1e-5 and worst_sym <= 1e-6
+
+
 class TestMTFLTypes:
     def test_dimension_mismatch_rejected(self):
         g = rng(14)

@@ -1,5 +1,7 @@
 """Inner dual solvers against closed forms and independent oracles."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from spectralr import inner, solvers
-from spectralr.adapters import make_completion_adapter
+from spectralr.adapters import HankelAdapter, HankelProblem, make_completion_adapter
 from spectralr.data import (
     antidiag_counts,
     antidiag_spread,
@@ -36,6 +38,13 @@ from spectralr.spectrahedron import random_point
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def dense_hankel_gram_apply(u, c, counts, d, t, z):
+    """(I/(2C) + H* U U^T H) z through the d x t equal-share matrix of z;
+    the oracle of the FFT apply."""
+    s = antidiag_spread(z / counts, d, t)
+    return antidiag_sums(u @ (u.T @ s)) / counts + z / (2.0 * c)
 
 
 def box_cd_objective(u_rows, y, eps, z) -> float:
@@ -370,7 +379,53 @@ class TestNonneg:
         assert out.stdout.strip() == "False"
 
 
+HANKEL_SHAPES = [(1, 1), (1, 5), (2, 2), (3, 4), (20, 20), (300, 300)]
+
+
 class TestHankelInner:
+    @pytest.mark.parametrize("d, t", HANKEL_SHAPES)
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_fft_gram_apply_matches_dense(self, d, t, r):
+        # 300 x 300 has n = 599, a prime, so the transforms are padded; a
+        # large C leaves the Gram term, not z / (2C), to be compared
+        g = rng(d * 1000 + t * 10 + r)
+        u = g.standard_normal((d, r))
+        z = g.standard_normal(d + t - 1)
+        counts = antidiag_counts(d, t)
+        ref = dense_hankel_gram_apply(u, 1e8, counts, d, t, z)
+        got = inner.hankel_gram_apply(u, 1e8, counts, d, t, z)
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("d, t", HANKEL_SHAPES)
+    @pytest.mark.parametrize("r", [1, 3, 8])
+    def test_fft_hessian_matches_dense(self, d, t, r):
+        # The adapter's Hessian-vector product by FFT against the dense
+        # forms: its right-hand side -antidiag_sums(V K + U V^T M) / counts,
+        # and the assembly from the d x t Mdot of the directional solve.
+        g = rng(d * 1000 + t * 10 + r)
+        adapter = HankelAdapter(HankelProblem(g.standard_normal(d + t - 1), d, t),
+                                RegularizationParams(c=1.0, inner_tol=1e-12,
+                                                     inner_max_iters=5000))
+        u = g.standard_normal((d, r))
+        u /= np.linalg.norm(u)
+        v = g.standard_normal((d, r))
+        _, cert = adapter.evaluate_g(u)
+        solves = []
+        directional = inner.hankel_directional
+
+        def spy(*args):
+            solves.append((args[2], directional(*args)))
+            return solves[-1][1]
+
+        with mock.patch.object(inner, "hankel_directional", spy):
+            hv = adapter.euc_hess_vec(u, v, cert)
+        (rhs, zdot), = solves
+        counts = antidiag_counts(d, t)
+        rhs_ref = -antidiag_sums(v @ cert.k + u @ (v.T @ cert.m)) / counts
+        assert np.linalg.norm(rhs - rhs_ref) <= 1e-12 * np.linalg.norm(rhs_ref)
+        hv_ref = inner.assemble_hess_vec(u, v, cert, antidiag_spread(zdot / counts, d, t))
+        assert np.linalg.norm(hv - hv_ref) <= 1e-12 * np.linalg.norm(hv_ref)
+
     def test_directional_residual_and_one_apply_per_step(self, monkeypatch):
         g = rng(24)
         d, t, c, tol = 4, 6, 3.0, 1e-10
@@ -420,7 +475,7 @@ class TestHankelInner:
         for i in range(3):
             e = np.zeros(3)
             e[i] = 1.0
-            a[:, i] = inner.hankel_gram_apply(u, c, counts, 2, 2, e)
+            a[:, i] = dense_hankel_gram_apply(u, c, counts, 2, 2, e)
         z_dense = np.linalg.solve(a, y)
         z, ok = solve_hankel(u, y, c, 1e-12, 1000, t=2)
         assert np.allclose(z, z_dense, atol=1e-8)
@@ -436,13 +491,13 @@ class TestHankelInner:
             (np.arange(3)[:, None] + np.arange(4)[None, :]).ravel()).astype(float)
 
         def value(z):
-            s = inner.hankel_spread_dual(z, counts, 3, 4)
+            s = antidiag_spread(z / counts, 3, 4)
             return z @ y - z @ z / (4 * c) - 0.5 * np.sum((u.T @ s) ** 2)
 
         prev = -np.inf
         for iters in (1, 2, 4, 8, 32, 128):
             z, _ = solve_hankel(u, y, c, 0.0, iters, t=4)
-            s = inner.hankel_spread_dual(z, counts, 3, 4)
+            s = antidiag_spread(z / counts, 3, 4)
             assert np.allclose(antidiag_sums(s), z, atol=1e-12)
             val = value(z)
             assert val >= prev - 1e-10
