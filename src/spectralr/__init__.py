@@ -46,6 +46,7 @@ from .inner import (
     variational_theta_residual,
 )
 from .solvers import (
+    NUMERICAL_ERROR,
     IterationRecord,
     SolveResult,
     SolverConfig,

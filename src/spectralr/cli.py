@@ -2,9 +2,9 @@
 
 Subcommands: complete, robust-complete, nn-complete, hankel, mtfl, synth,
 check-cert.  Runs write summary.json, trace.csv, and model.npz into the
-output directory.  Exit codes: 0 converged, 1 input error, 2 stall or
-non-convergence (for check-cert: a gap above --gap-tol, or a sigma_1 that
-Lanczos did not converge).
+output directory.  Exit codes: 0 converged, 1 input error, 2 stall,
+non-convergence or numerical error (for check-cert: a gap above --gap-tol,
+or a sigma_1 that Lanczos did not converge).
 """
 
 from __future__ import annotations
@@ -298,8 +298,9 @@ def _run_solver(adapter, args, d):
     if args.verbose:
         for rec in result.records:
             gap = "" if rec.duality_gap is None else f" gap={rec.duality_gap:.3e}"
+            tcg = "" if rec.tcg_stop is None else f" tcg={rec.tcg_steps}/{rec.tcg_stop}"
             print(f"iter {rec.iteration:4d}  g={rec.g_value:.9e} "
-                  f"|grad|={rec.grad_norm:.3e}{gap}", file=sys.stderr)
+                  f"|grad|={rec.grad_norm:.3e}{gap}{tcg}", file=sys.stderr)
     return result, wall
 
 
@@ -316,6 +317,9 @@ def _finish_run(args, adapter, result, wall, test_metric):
         "relative_gap": gap.relative_gap,
         "sigma1": gap.sigma1,
         "power_converged": gap.power_converged,
+        "tcg_stops": {reason: sum(rec.tcg_stop == reason for rec in result.records)
+                      for reason in solvers.TCG_STOP_REASONS},
+        "tcg_steps": sum(rec.tcg_steps or 0 for rec in result.records),
         "test_metric": test_metric,
         "metric_kind": METRIC_KIND[adapter.kind],
         "wall_time_s": wall,

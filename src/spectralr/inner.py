@@ -270,13 +270,26 @@ def solve_column_nonneg(u_full: np.ndarray, omega: np.ndarray, y: np.ndarray,
 
 
 def hankel_fft_len(n: int) -> int:
-    """Transform length for the Hankel products: the power of two >= n.
+    """Transform length for the Hankel products: the smallest 2^a 3^b 5^c >= n.
 
     The products below read and write only the first n = d + t - 1 entries
-    of each sequence, so from this length on circular correlation and
-    convolution equal the linear ones (no wrap-around).
+    of each sequence, so at any length >= n circular correlation and
+    convolution equal the linear ones (no wrap-around).  numpy's FFT is fast
+    on 5-smooth lengths, which pad far less than powers of two (599 -> 600,
+    not 1024).
     """
-    return 1 << (n - 1).bit_length()
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            m = p35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def hankel_corr(a_hat: np.ndarray, x_hat: np.ndarray, nfft: int, m: int) -> np.ndarray:

@@ -31,6 +31,27 @@ from .spectrahedron import (
 CONVERGED = "converged"
 MAX_ITERS = "max_iters"
 STALLED = "stalled"
+NUMERICAL_ERROR = "numerical_error"
+
+# Why a truncated-CG pass ended (IterationRecord.tcg_stop).
+TCG_RESIDUAL = "residual"
+TCG_BOUNDARY = "boundary"
+TCG_NEGATIVE_CURVATURE = "negative_curvature"
+TCG_STALLED = "stalled"
+TCG_CAP = "cap"
+TCG_STOP_REASONS = (TCG_RESIDUAL, TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE,
+                    TCG_STALLED, TCG_CAP)
+
+# Truncated CG stops as stalled once TCG_STALL_WINDOW consecutive steps fail
+# to bring the residual norm below TCG_STALL_FACTOR times its value at the
+# last step that did (gn at the start): near a solution the residual target
+# gn * min(kappa, gn**theta) falls below what an inexact Hessian-vector
+# product resolves.  On six small Hankel instances (100, 1/2) needed no more
+# outer iterations than running every pass to the d*r cap, and it leaves
+# passes that still halve their residual within 100 steps alone; the sweep,
+# and a wider one, are in CHANGES.md.
+TCG_STALL_WINDOW = 100
+TCG_STALL_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -69,12 +90,18 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One solver iteration; tcg_steps (Hessian-vector products) and
+    tcg_stop (one of TCG_STOP_REASONS) describe the trust-region
+    subproblem solve and are None under CG and at iteration 0."""
+
     iteration: int
     g_value: float
     grad_norm: float
     step_size: float
     elapsed_seconds: float
     duality_gap: float | None = None
+    tcg_steps: int | None = None
+    tcg_stop: str | None = None
 
 
 @dataclass
@@ -112,6 +139,8 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
 
     Falls back to the steepest-descent direction once when the line search
     exhausts its backtracks, and reports "stalled" if that fails as well.
+    A non-finite g (start or trial point) or gradient norm stops the solve
+    with "numerical_error" at the last point whose g was finite.
     """
     t0 = time.perf_counter()
     point = u0
@@ -120,6 +149,8 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     tol = cfg.grad_norm_tol * gn
     records = [IterationRecord(0, g, gn, 0.0, time.perf_counter() - t0,
                                _gap_value(problem, point, cert) if cfg.cert_every else None)]
+    if not (np.isfinite(g) and np.isfinite(gn)):
+        return SolveResult(point, cert, records, NUMERICAL_ERROR)
     if gn <= tol:
         return SolveResult(point, cert, records, CONVERGED)
 
@@ -152,7 +183,7 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
             for _ in range(cfg.max_line_search):
                 candidate = retract(point, direction, alpha)
                 g_new, cert_new = problem.evaluate_g(candidate)
-                if g_new <= g + cfg.armijo_c1 * alpha * slope:
+                if not np.isfinite(g_new) or g_new <= g + cfg.armijo_c1 * alpha * slope:
                     accepted = (candidate, g_new, cert_new, alpha)
                     break
                 alpha *= cfg.armijo_backtrack
@@ -163,6 +194,10 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                 prev_alpha = None
         if accepted is None:
             status = STALLED
+            break
+        if not np.isfinite(accepted[1]):
+            records.append(IterationRecord(it, g, gn, 0.0, time.perf_counter() - t0))
+            status = NUMERICAL_ERROR
             break
         point, g_new, cert, alpha = accepted
         prev_decrease = g - g_new
@@ -175,6 +210,9 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                                        or it == cfg.max_outer_iters)
         records.append(IterationRecord(it, g, gn, alpha, time.perf_counter() - t0,
                                        _gap_value(problem, point, cert) if want_gap else None))
+        if not np.isfinite(gn):
+            status = NUMERICAL_ERROR
+            break
         if gn <= tol:
             status = CONVERGED
             break
@@ -183,7 +221,27 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
 
 def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
                   theta: float, max_iters: int):
-    """Steihaug-Toint CG on the trust-region model; returns (step, hit_boundary)."""
+    """Steihaug-Toint CG on the model <grad, xi> + <xi, H xi>/2, ||xi|| <= radius.
+
+    Returns (step, stop, steps): steps counts Hessian-vector products and
+    stop is one of TCG_STOP_REASONS.  The rules, checked in each CG step:
+
+    - negative_curvature: the search direction p has <p, H p> <= 0; the
+      step follows p to the boundary;
+    - boundary: the next iterate would leave the trust region; the step
+      stops on the boundary along p;
+    - residual: the residual norm reached gn * min(kappa, gn**theta);
+    - stalled: TCG_STALL_WINDOW consecutive steps failed to bring the
+      residual norm below TCG_STALL_FACTOR times a reference, which starts
+      at gn and becomes the residual norm of each step that gets below it;
+      the current iterate is returned, the best so far since CG iterates
+      decrease the model monotonically;
+    - cap: max_iters steps ran out.
+
+    max_iters = 0 gives the Cauchy point, the model's minimizer along -grad
+    within the radius: stop negative_curvature or boundary when it lies on
+    the boundary, cap otherwise.
+    """
 
     def boundary_tau(xi, p):
         # positive root of ||xi + tau p|| = radius
@@ -195,33 +253,41 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
 
     gn = grad.norm
     if max_iters == 0:
-        # Cauchy point: exact minimizer of the model along -grad within radius.
-        hg = hess(grad)
-        curv = inner_product(grad, hg)
-        tau = radius / gn if curv <= 0 else min(gn * gn / curv, radius / gn)
-        return -tau * grad, tau >= radius / gn - 1e-15
+        curv = inner_product(grad, hess(grad))
+        if curv <= 0:
+            return -(radius / gn) * grad, TCG_NEGATIVE_CURVATURE, 1
+        tau = min(gn * gn / curv, radius / gn)
+        return -tau * grad, TCG_BOUNDARY if tau >= radius / gn - 1e-15 else TCG_CAP, 1
     xi = 0.0 * grad
     res = grad
     p = -grad
     rr = gn * gn
     stop_res = gn * min(kappa, gn ** theta)
-    for _ in range(max_iters):
+    best, since_best = gn, 0
+    for step in range(1, max_iters + 1):
         hp = hess(p)
         curv = inner_product(p, hp)
         if curv <= 0:
-            return xi + boundary_tau(xi, p) * p, True
+            return xi + boundary_tau(xi, p) * p, TCG_NEGATIVE_CURVATURE, step
         alpha = rr / curv
         xi_next = xi + alpha * p
         if np.sqrt(inner_product(xi_next, xi_next)) >= radius:
-            return xi + boundary_tau(xi, p) * p, True
+            return xi + boundary_tau(xi, p) * p, TCG_BOUNDARY, step
         xi = xi_next
         res = res + alpha * hp
         rr_new = inner_product(res, res)
-        if np.sqrt(rr_new) <= stop_res:
-            break
+        res_norm = np.sqrt(rr_new)
+        if res_norm <= stop_res:
+            return xi, TCG_RESIDUAL, step
+        if res_norm < TCG_STALL_FACTOR * best:
+            best, since_best = res_norm, 0
+        else:
+            since_best += 1
+            if since_best >= TCG_STALL_WINDOW:
+                return xi, TCG_STALLED, step
         p = -res + (rr_new / rr) * p
         rr = rr_new
-    return xi, False
+    return xi, TCG_CAP, max_iters
 
 
 def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
@@ -230,7 +296,9 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     Candidates are accepted on the usual ratio test (rho > 0.1); the radius
     shrinks at rho < 0.25 and grows after boundary hits with rho > 0.75.  If
     the Hessian system of the problem fails, the iteration falls back to the
-    Cauchy point.
+    Cauchy point.  A non-finite g (start or candidate) or gradient norm stops
+    the solve with "numerical_error" at the last point whose g was finite.
+    Each record carries its truncated-CG step count and stop reason.
     """
     t0 = time.perf_counter()
     point = u0
@@ -239,6 +307,8 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     tol = cfg.grad_norm_tol * gn
     records = [IterationRecord(0, g, gn, 0.0, time.perf_counter() - t0,
                                _gap_value(problem, point, cert) if cfg.cert_every else None)]
+    if not (np.isfinite(g) and np.isfinite(gn)):
+        return SolveResult(point, cert, records, NUMERICAL_ERROR)
     if gn <= tol:
         return SolveResult(point, cert, records, CONVERGED)
 
@@ -254,15 +324,17 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                 point, euc_grad, problem.euc_hess_vec(point, tv.xi, cert), tv)
 
         try:
-            xi, hit_boundary = _truncated_cg(
+            xi, tcg_stop, tcg_steps = _truncated_cg(
                 grad, hess, radius, cfg.tcg_kappa, cfg.tcg_theta, max_tcg)
             model_dec = -(inner_product(grad, xi) + 0.5 * inner_product(xi, hess(xi)))
         except np.linalg.LinAlgError:
-            xi, hit_boundary = _truncated_cg(grad, lambda tv: 0.0 * tv, radius,
-                                             cfg.tcg_kappa, cfg.tcg_theta, 0)
+            xi, tcg_stop, tcg_steps = _truncated_cg(grad, lambda tv: 0.0 * tv, radius,
+                                                    cfg.tcg_kappa, cfg.tcg_theta, 0)
             model_dec = -inner_product(grad, xi)
+        hit_boundary = tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE)
         step_norm = xi.norm
         accepted = False
+        g_new = g
         if model_dec > 0 and step_norm > 0:
             candidate = retract(point, xi, 1.0)
             g_new, cert_new = problem.evaluate_g(candidate)
@@ -286,7 +358,10 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                                        or it == cfg.max_outer_iters)
         records.append(IterationRecord(
             it, g, gn, step_norm if accepted else 0.0, time.perf_counter() - t0,
-            _gap_value(problem, point, cert) if want_gap else None))
+            _gap_value(problem, point, cert) if want_gap else None, tcg_steps, tcg_stop))
+        if not (np.isfinite(g_new) and np.isfinite(gn)):
+            status = NUMERICAL_ERROR
+            break
         if gn <= tol:
             status = CONVERGED
             break
@@ -342,5 +417,5 @@ def initialize_point(problem, d: int, r: int, seed: int = 0) -> ManifoldPoint:
 __all__ = [
     "SolverConfig", "IterationRecord", "SolveResult",
     "solve_cg", "solve_tr", "initialize_point",
-    "CONVERGED", "MAX_ITERS", "STALLED",
+    "CONVERGED", "MAX_ITERS", "STALLED", "NUMERICAL_ERROR", "TCG_STOP_REASONS",
 ]

@@ -9,7 +9,7 @@ import scipy
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from spectralr import cli, inner
+from spectralr import adapters, cli, inner, solvers
 
 
 def read_trace_without_elapsed(path):
@@ -152,6 +152,12 @@ class TestCompleteRun:
         assert summary["test_metric"] is not None
         assert summary["power_converged"] is True
         assert ", power_converged=true" in capsys.readouterr().out.splitlines()[-1]
+        stops = summary["tcg_stops"]
+        assert list(stops) == list(solvers.TCG_STOP_REASONS)
+        with open(os.path.join(out, "trace.csv")) as fh:
+            n_iters = sum(1 for _ in fh) - 2   # header and iteration 0
+        assert sum(stops.values()) == n_iters
+        assert summary["tcg_steps"] >= n_iters
         env = summary["environment"]
         assert (env["numpy"], env["scipy"]) == (np.__version__, scipy.__version__)
         assert env["OMP_NUM_THREADS"] == "3"
@@ -173,6 +179,25 @@ class TestCompleteRun:
             assert code == 0
             traces.append(read_trace_without_elapsed(os.path.join(out, "trace.csv")))
         assert traces[0] == traces[1]
+
+    def test_numerical_error_exits_2(self, tmp_path, monkeypatch):
+        evaluate_g = adapters.CompletionAdapter.evaluate_g
+        calls = []
+
+        def nan_on_fifth(self, point):
+            calls.append(None)
+            g, cert = evaluate_g(self, point)
+            return (float("nan") if len(calls) == 5 else g), cert
+
+        monkeypatch.setattr(adapters.CompletionAdapter, "evaluate_g", nan_on_fifth)
+        out = str(tmp_path / "run")
+        code = cli.main(["complete", "--synth", "d=15,T=12,r=2,frac=0.5",
+                         "--rank", "2", "--C", "1e3", "--seed", "7",
+                         "--max-outer", "40", "-o", out])
+        assert code == 2
+        summary = json.load(open(os.path.join(out, "summary.json")))
+        assert summary["status"] == solvers.NUMERICAL_ERROR
+        assert np.isfinite(summary["g"])
 
     def test_triplet_data_input(self, tmp_path):
         data_dir = str(tmp_path / "data")

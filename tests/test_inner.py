@@ -383,6 +383,19 @@ HANKEL_SHAPES = [(1, 1), (1, 5), (2, 2), (3, 4), (20, 20), (300, 300)]
 
 
 class TestHankelInner:
+    def test_fft_len_is_smallest_5_smooth(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 2100):
+            nfft = inner.hankel_fft_len(n)
+            assert nfft >= n and smooth(nfft)
+            assert not any(smooth(m) for m in range(n, nfft))
+        assert inner.hankel_fft_len(599) == 600
+
     @pytest.mark.parametrize("d, t", HANKEL_SHAPES)
     @pytest.mark.parametrize("r", [1, 3, 8])
     def test_fft_gram_apply_matches_dense(self, d, t, r):

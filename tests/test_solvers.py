@@ -3,17 +3,23 @@
 import numpy as np
 import pytest
 
-from spectralr import adapters, inner
+from spectralr import adapters, data, inner, solvers
 from spectralr.data import synth_completion
 from spectralr.solvers import (
     CONVERGED,
+    NUMERICAL_ERROR,
     STALLED,
     SolverConfig,
     initialize_point,
     solve_cg,
     solve_tr,
 )
-from spectralr.spectrahedron import manifold_point, normalized_point, random_point
+from spectralr.spectrahedron import (
+    TangentVector,
+    manifold_point,
+    normalized_point,
+    random_point,
+)
 
 
 class QuadraticProblem:
@@ -39,6 +45,72 @@ class QuadraticProblem:
 
 def diag_problem(d=20):
     return QuadraticProblem(np.diag(np.arange(1.0, d + 1)))
+
+
+class NaNOnCall(QuadraticProblem):
+    """The quadratic problem, except that its k-th evaluate_g returns NaN."""
+
+    def __init__(self, a, k):
+        super().__init__(a)
+        self.k = k
+        self.calls = 0
+
+    def evaluate_g(self, point):
+        self.calls += 1
+        g, cert = super().evaluate_g(point)
+        return (float("nan") if self.calls == self.k else g), cert
+
+
+class TestTruncatedCG:
+    """Steihaug-Toint CG on an SPD model in R^60 with eigenvalues 1..10 and
+    gradient norm 1e-6, so the residual target is gn^2 = 1e-12."""
+
+    n = 60
+
+    def setup_method(self):
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((self.n, self.n)))
+        self.a = (q * np.linspace(1.0, 10.0, self.n)) @ q.T
+        skew = rng.standard_normal((self.n, self.n))
+        self.skew = skew - skew.T
+        g = rng.standard_normal((self.n, 1))
+        self.grad = TangentVector(1e-6 * g / np.linalg.norm(g), 0)
+
+    def exact(self, tv):
+        return TangentVector(self.a @ tv.xi, 0)
+
+    def noisy(self, tv):
+        # a deterministic error of norm 1e-10, orthogonal to the argument so
+        # that every curvature stays that of the exact model
+        e = self.skew @ tv.xi
+        return TangentVector(self.a @ tv.xi + 1e-10 * e / np.linalg.norm(e), 0)
+
+    def run(self, hess, max_iters=5000):
+        return solvers._truncated_cg(self.grad, hess, 1e6, 0.1, 1.0, max_iters)
+
+    def test_exact_model_stops_on_residual(self):
+        xi, stop, steps = self.run(self.exact)
+        assert stop == solvers.TCG_RESIDUAL
+        assert steps <= self.n
+        assert np.linalg.norm(self.a @ xi.xi + self.grad.xi) <= 1e-12
+
+    def test_noise_floor_stops_as_stalled(self):
+        xi, stop, steps = self.run(self.noisy)
+        assert stop == solvers.TCG_STALLED
+        assert solvers.TCG_STALL_WINDOW <= steps <= 5 * self.n
+        # the iterate solves the model to the Hessian's noise level
+        assert np.linalg.norm(self.a @ xi.xi + self.grad.xi) <= 1e-9
+
+    def test_cap_boundary_and_negative_curvature(self):
+        assert self.run(self.noisy, max_iters=10)[1:] == (solvers.TCG_CAP, 10)
+        assert self.run(self.exact, max_iters=0)[1:] == (solvers.TCG_CAP, 1)
+        xi, stop, _ = solvers._truncated_cg(self.grad, self.exact, 1e-8, 0.1, 1.0, 100)
+        assert stop == solvers.TCG_BOUNDARY
+        assert xi.norm == pytest.approx(1e-8, rel=1e-12)
+        xi, stop, _ = solvers._truncated_cg(self.grad, lambda tv: -1.0 * tv, 1e-3,
+                                            0.1, 1.0, 100)
+        assert stop == solvers.TCG_NEGATIVE_CURVATURE
+        assert xi.norm == pytest.approx(1e-3, rel=1e-12)
 
 
 class TestSolveCG:
@@ -141,6 +213,54 @@ class TestSolveTR:
             logs.append([(r.iteration, r.g_value, r.grad_norm, r.step_size,
                           r.duality_gap) for r in res.records])
         assert logs[0] == logs[1]
+
+
+class TestTruncatedCGOnHankel:
+    def test_no_pass_runs_to_the_cap(self):
+        # order-5 LTI signal, 60 x 60, rank 6: without the stall rule one
+        # tCG pass near the solution runs all d*r = 360 steps
+        _, y = data.synth_hankel(data.LTISystemSpec(5, 60, 60, 0.05), seed=11)
+        params = inner.RegularizationParams(c=100.0, inner_tol=1e-12,
+                                            inner_max_iters=200000)
+        adapter = adapters.HankelAdapter(adapters.HankelProblem(y, 60, 60), params)
+        u0 = initialize_point(adapter, 60, 6, seed=11)
+        res = solve_tr(adapter, u0, SolverConfig(max_outer_iters=80, grad_norm_tol=1e-12))
+        assert res.status == CONVERGED
+        stops = [r.tcg_stop for r in res.records[1:]]
+        assert solvers.TCG_CAP not in stops
+        assert solvers.TCG_STALLED in stops
+
+
+class TestNumericalError:
+    @pytest.mark.parametrize("solver", [solve_cg, solve_tr])
+    def test_nan_g_stops_at_last_finite_point(self, solver):
+        prob = NaNOnCall(np.diag(np.arange(1.0, 21.0)), k=4)
+        u0 = random_point(20, 1, np.random.default_rng(5))
+        res = solver(prob, u0, SolverConfig(max_outer_iters=50, grad_norm_tol=1e-12))
+        assert res.status == NUMERICAL_ERROR
+        assert prob.calls == 4
+        assert all(np.isfinite(r.g_value) for r in res.records)
+        assert res.records[-1].step_size == 0.0
+        assert res.g_value == QuadraticProblem(prob.a).evaluate_g(res.point)[0]
+
+    @pytest.mark.parametrize("solver", [solve_cg, solve_tr])
+    def test_nan_at_start(self, solver):
+        prob = NaNOnCall(np.diag(np.arange(1.0, 21.0)), k=1)
+        u0 = random_point(20, 1, np.random.default_rng(5))
+        res = solver(prob, u0, SolverConfig())
+        assert res.status == NUMERICAL_ERROR
+        assert len(res.records) == 1
+
+    def test_tcg_fields_only_under_tr(self):
+        prob = diag_problem()
+        u0 = random_point(20, 1, np.random.default_rng(5))
+        cfg = SolverConfig(max_outer_iters=10, grad_norm_tol=1e-12)
+        tr = solve_tr(prob, u0, cfg).records
+        cg = solve_cg(prob, u0, cfg).records
+        assert (tr[0].tcg_steps, tr[0].tcg_stop) == (None, None)
+        assert all(r.tcg_steps >= 1 and r.tcg_stop in solvers.TCG_STOP_REASONS
+                   for r in tr[1:])
+        assert all((r.tcg_steps, r.tcg_stop) == (None, None) for r in cg)
 
 
 class TestInitializePoint:
