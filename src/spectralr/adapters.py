@@ -38,9 +38,6 @@ from .inner import (
     RegularizationParams,
 )
 
-COMPLETION_KINDS = ("completion", "robust_l1", "robust_eps_svr", "nonneg_completion")
-ALL_KINDS = COMPLETION_KINDS + ("hankel", "mtfl")
-
 
 def _mat(point) -> np.ndarray:
     return point.u if hasattr(point, "u") else np.asarray(point, dtype=float)

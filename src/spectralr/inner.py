@@ -579,9 +579,6 @@ class PrimalFactor:
     def dense(self) -> np.ndarray:
         return self.u @ self.k
 
-    def column(self, t_idx: int) -> np.ndarray:
-        return self.u @ self.k[:, t_idx]
-
 
 def reconstruct_primal(u_mat: np.ndarray, cert: DualCertificate) -> PrimalFactor:
     """W = U K at the point cert was built at."""

@@ -3,6 +3,8 @@
 Both solvers walk the unit-Frobenius-sphere quotient: directions live in the
 horizontal space, moves go through the renormalization retraction, and the
 previous search direction is carried over by projection-based transport.
+One outer loop, _minimize, owns the start, the records with their gap
+cadence and the stop rules; each solver supplies only its step.
 Everything is deterministic for a fixed problem, start point, and config.
 """
 
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,7 +22,6 @@ from .spectrahedron import (
     ManifoldPoint,
     TangentVector,
     inner_product,
-    manifold_point,
     normalized_point,
     project_horizontal,
     retract,
@@ -39,8 +41,9 @@ TCG_BOUNDARY = "boundary"
 TCG_NEGATIVE_CURVATURE = "negative_curvature"
 TCG_STALLED = "stalled"
 TCG_CAP = "cap"
+TCG_NON_FINITE = "non_finite"
 TCG_STOP_REASONS = (TCG_RESIDUAL, TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE,
-                    TCG_STALLED, TCG_CAP)
+                    TCG_STALLED, TCG_CAP, TCG_NON_FINITE)
 
 # Truncated CG stops as stalled once TCG_STALL_WINDOW consecutive steps fail
 # to bring the residual norm below TCG_STALL_FACTOR times its value at the
@@ -120,18 +123,76 @@ class SolveResult:
         return self.records[-1].grad_norm
 
 
-def _gap_value(problem, point, cert):
-    gap_fn = getattr(problem, "duality_gap", None)
-    if gap_fn is None or cert is None:
-        return None
-    return gap_fn(point, cert).gap
+class _State(NamedTuple):
+    """An evaluated point; each field is computed once per point."""
+
+    point: ManifoldPoint
+    g: float
+    cert: object
+    euc_grad: np.ndarray
+    grad: TangentVector
+    gn: float
 
 
-def _eval_state(problem, point):
-    g, cert = problem.evaluate_g(point)
-    grad = project_horizontal(point, riemannian_gradient(
-        point, problem.euc_gradient(point, cert)))
-    return g, cert, grad
+def _evaluate(problem, point, g, cert) -> _State:
+    euc_grad = problem.euc_gradient(point, cert)
+    grad = project_horizontal(point, riemannian_gradient(point, euc_grad))
+    return _State(point, g, cert, euc_grad, grad, grad.norm)
+
+
+class _Move(NamedTuple):
+    """What one step did; _minimize records it and applies the stop rules."""
+
+    state: _State                 # where the step ends; the current state if rejected
+    step_size: float = 0.0
+    stop: str | None = None       # NUMERICAL_ERROR or STALLED ends the solve
+    tcg_steps: int | None = None
+    tcg_stop: str | None = None
+
+
+def _minimize(problem, u0: ManifoldPoint, cfg: SolverConfig, step) -> SolveResult:
+    """The outer loop both solvers share.
+
+    Evaluates u0 as iteration 0, then records the _Move that step(state)
+    returns once per iteration.  The duality gap is recorded, if cert_every
+    is set and the problem has duality_gap, at iteration 0, every
+    cert_every-th iteration, the converged one and the budget's last.  After
+    each record the solve ends, checked in this order, as
+
+    - numerical_error: g or the gradient norm is not finite, or the step
+      met a non-finite value; the point is the last one whose g was finite;
+    - converged: the gradient norm fell to grad_norm_tol times the start's;
+    - stalled: the step stalled (one that returns None leaves no record);
+    - max_iters: max_outer_iters iterations ran out.
+    """
+    t0 = time.perf_counter()
+    gap_fn = getattr(problem, "duality_gap", None) if cfg.cert_every else None
+    state = _evaluate(problem, u0, *problem.evaluate_g(u0))
+    tol = cfg.grad_norm_tol * state.gn
+    records = []
+    status = MAX_ITERS
+    for it in range(cfg.max_outer_iters + 1):
+        move = step(state) if it else _Move(state)
+        if move is None:
+            status = STALLED
+            break
+        state = move.state
+        want_gap = gap_fn and state.cert is not None and (
+            it % cfg.cert_every == 0 or state.gn <= tol or it == cfg.max_outer_iters)
+        records.append(IterationRecord(
+            it, state.g, state.gn, move.step_size, time.perf_counter() - t0,
+            gap_fn(state.point, state.cert).gap if want_gap else None,
+            move.tcg_steps, move.tcg_stop))
+        if move.stop == NUMERICAL_ERROR or not np.isfinite([state.g, state.gn]).all():
+            status = NUMERICAL_ERROR
+            break
+        if state.gn <= tol:
+            status = CONVERGED
+            break
+        if move.stop is not None:
+            status = move.stop
+            break
+    return SolveResult(state.point, state.cert, records, status)
 
 
 def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
@@ -139,84 +200,45 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
 
     Falls back to the steepest-descent direction once when the line search
     exhausts its backtracks, and reports "stalled" if that fails as well.
-    A non-finite g (start or trial point) or gradient norm stops the solve
-    with "numerical_error" at the last point whose g was finite.
+    A non-finite g at a trial point ends the solve as "numerical_error".
     """
-    t0 = time.perf_counter()
-    point = u0
-    g, cert, grad = _eval_state(problem, point)
-    gn = grad.norm
-    tol = cfg.grad_norm_tol * gn
-    records = [IterationRecord(0, g, gn, 0.0, time.perf_counter() - t0,
-                               _gap_value(problem, point, cert) if cfg.cert_every else None)]
-    if not (np.isfinite(g) and np.isfinite(gn)):
-        return SolveResult(point, cert, records, NUMERICAL_ERROR)
-    if gn <= tol:
-        return SolveResult(point, cert, records, CONVERGED)
+    prev = prev_dir = prev_alpha = None  # the last accepted step's start, direction, size
 
-    prev_grad = prev_dir = None
-    prev_gn_sq = 0.0
-    prev_alpha = None
-    prev_decrease = 0.0
-    status = MAX_ITERS
-    for it in range(1, cfg.max_outer_iters + 1):
+    def step(s: _State):
+        nonlocal prev, prev_dir, prev_alpha
         if prev_dir is None:
-            direction = -grad
+            direction = -s.grad
         else:
-            beta = max(0.0, inner_product(grad, grad - transport(point, prev_grad))
-                       / prev_gn_sq)
-            direction = -grad + beta * transport(point, prev_dir)
-            if inner_product(grad, direction) >= -1e-12 * gn * max(direction.norm, 1e-300):
-                direction = -grad
-        accepted = None
-        for attempt in range(2):
-            slope = inner_product(grad, direction)
+            beta = max(0.0, inner_product(s.grad, s.grad - transport(s.point, prev.grad))
+                       / (prev.gn * prev.gn))
+            direction = -s.grad + beta * transport(s.point, prev_dir)
+            if inner_product(s.grad, direction) >= -1e-12 * s.gn * max(direction.norm, 1e-300):
+                direction = -s.grad
+        for _ in range(2):
+            slope = inner_product(s.grad, direction)
             if prev_alpha is None:
-                alpha = 1.0 / max(gn, 1e-300)
+                alpha = 1.0 / max(s.gn, 1e-300)
             else:
-                # first-trial guess: twice the step matching the previous
-                # decrease on the linear model, capped by doubling the last
-                # accepted step
+                # first trial: twice the step matching the previous decrease
+                # on the linear model, capped by doubling the last accepted step
                 alpha = 2.0 * prev_alpha
-                if prev_decrease > 0 and slope < 0:
-                    alpha = min(alpha, 2.02 * prev_decrease / (-slope))
+                decrease = prev.g - s.g
+                if decrease > 0 and slope < 0:
+                    alpha = min(alpha, 2.02 * decrease / (-slope))
             for _ in range(cfg.max_line_search):
-                candidate = retract(point, direction, alpha)
+                candidate = retract(s.point, direction, alpha)
                 g_new, cert_new = problem.evaluate_g(candidate)
-                if not np.isfinite(g_new) or g_new <= g + cfg.armijo_c1 * alpha * slope:
-                    accepted = (candidate, g_new, cert_new, alpha)
-                    break
+                if not np.isfinite(g_new):
+                    return _Move(s, stop=NUMERICAL_ERROR)
+                if g_new <= s.g + cfg.armijo_c1 * alpha * slope:
+                    prev, prev_dir, prev_alpha = s, direction, alpha
+                    return _Move(_evaluate(problem, candidate, g_new, cert_new), alpha)
                 alpha *= cfg.armijo_backtrack
-            if accepted is not None:
-                break
-            if attempt == 0:
-                direction = -grad
-                prev_alpha = None
-        if accepted is None:
-            status = STALLED
-            break
-        if not np.isfinite(accepted[1]):
-            records.append(IterationRecord(it, g, gn, 0.0, time.perf_counter() - t0))
-            status = NUMERICAL_ERROR
-            break
-        point, g_new, cert, alpha = accepted
-        prev_decrease = g - g_new
-        g = g_new
-        prev_grad, prev_dir, prev_gn_sq, prev_alpha = grad, direction, gn * gn, alpha
-        grad = project_horizontal(point, riemannian_gradient(
-            point, problem.euc_gradient(point, cert)))
-        gn = grad.norm
-        want_gap = cfg.cert_every and (it % cfg.cert_every == 0 or gn <= tol
-                                       or it == cfg.max_outer_iters)
-        records.append(IterationRecord(it, g, gn, alpha, time.perf_counter() - t0,
-                                       _gap_value(problem, point, cert) if want_gap else None))
-        if not np.isfinite(gn):
-            status = NUMERICAL_ERROR
-            break
-        if gn <= tol:
-            status = CONVERGED
-            break
-    return SolveResult(point, cert, records, status)
+            direction = -s.grad
+            prev_alpha = None
+        return None
+
+    return _minimize(problem, u0, cfg, step)
 
 
 def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
@@ -231,16 +253,15 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
     - boundary: the next iterate would leave the trust region; the step
       stops on the boundary along p;
     - residual: the residual norm reached gn * min(kappa, gn**theta);
-    - stalled: TCG_STALL_WINDOW consecutive steps failed to bring the
-      residual norm below TCG_STALL_FACTOR times a reference, which starts
-      at gn and becomes the residual norm of each step that gets below it;
-      the current iterate is returned, the best so far since CG iterates
-      decrease the model monotonically;
-    - cap: max_iters steps ran out.
+    - stalled: the stall rule above TCG_STALL_WINDOW fired; the current
+      iterate is returned, the best so far as CG iterates decrease the model;
+    - cap: max_iters steps ran out;
+    - non_finite: a curvature <p, H p> is not finite; the step returned
+      must not be used.
 
     max_iters = 0 gives the Cauchy point, the model's minimizer along -grad
     within the radius: stop negative_curvature or boundary when it lies on
-    the boundary, cap otherwise.
+    the boundary, non_finite on a non-finite curvature, cap otherwise.
     """
 
     def boundary_tau(xi, p):
@@ -254,6 +275,8 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
     gn = grad.norm
     if max_iters == 0:
         curv = inner_product(grad, hess(grad))
+        if not np.isfinite(curv):
+            return 0.0 * grad, TCG_NON_FINITE, 1
         if curv <= 0:
             return -(radius / gn) * grad, TCG_NEGATIVE_CURVATURE, 1
         tau = min(gn * gn / curv, radius / gn)
@@ -267,6 +290,8 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
     for step in range(1, max_iters + 1):
         hp = hess(p)
         curv = inner_product(p, hp)
+        if not np.isfinite(curv):
+            return xi, TCG_NON_FINITE, step
         if curv <= 0:
             return xi + boundary_tau(xi, p) * p, TCG_NEGATIVE_CURVATURE, step
         alpha = rr / curv
@@ -294,81 +319,55 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     """Riemannian trust region with a truncated-CG subproblem, unit step size.
 
     Candidates are accepted on the usual ratio test (rho > 0.1); the radius
-    shrinks at rho < 0.25 and grows after boundary hits with rho > 0.75.  If
-    the Hessian system of the problem fails, the iteration falls back to the
-    Cauchy point.  A non-finite g (start or candidate) or gradient norm stops
-    the solve with "numerical_error" at the last point whose g was finite.
+    shrinks at rho < 0.25 and grows after boundary hits with rho > 0.75, and
+    the step stalls once it is below 1e-16.  If the Hessian system of the
+    problem fails, the iteration falls back to the Cauchy point.  A
+    non-finite candidate g or truncated-CG curvature is a numerical error.
     Each record carries its truncated-CG step count and stop reason.
     """
-    t0 = time.perf_counter()
-    point = u0
-    g, cert, grad = _eval_state(problem, point)
-    gn = grad.norm
-    tol = cfg.grad_norm_tol * gn
-    records = [IterationRecord(0, g, gn, 0.0, time.perf_counter() - t0,
-                               _gap_value(problem, point, cert) if cfg.cert_every else None)]
-    if not (np.isfinite(g) and np.isfinite(gn)):
-        return SolveResult(point, cert, records, NUMERICAL_ERROR)
-    if gn <= tol:
-        return SolveResult(point, cert, records, CONVERGED)
-
     radius = cfg.tr_initial_radius
-    max_tcg = cfg.tcg_max_iters if cfg.tcg_max_iters is not None \
-        else point.d * point.r
-    status = MAX_ITERS
-    for it in range(1, cfg.max_outer_iters + 1):
-        euc_grad = problem.euc_gradient(point, cert)
+    max_tcg = cfg.tcg_max_iters if cfg.tcg_max_iters is not None else u0.d * u0.r
+
+    def step(s: _State):
+        nonlocal radius
 
         def hess(tv):
             return riemannian_hess_vec(
-                point, euc_grad, problem.euc_hess_vec(point, tv.xi, cert), tv)
+                s.point, s.euc_grad, problem.euc_hess_vec(s.point, tv.xi, s.cert), tv)
 
         try:
             xi, tcg_stop, tcg_steps = _truncated_cg(
-                grad, hess, radius, cfg.tcg_kappa, cfg.tcg_theta, max_tcg)
-            model_dec = -(inner_product(grad, xi) + 0.5 * inner_product(xi, hess(xi)))
+                s.grad, hess, radius, cfg.tcg_kappa, cfg.tcg_theta, max_tcg)
+            if tcg_stop == TCG_NON_FINITE:
+                return _Move(s, stop=NUMERICAL_ERROR, tcg_steps=tcg_steps, tcg_stop=tcg_stop)
+            model_dec = -(inner_product(s.grad, xi) + 0.5 * inner_product(xi, hess(xi)))
         except np.linalg.LinAlgError:
-            xi, tcg_stop, tcg_steps = _truncated_cg(grad, lambda tv: 0.0 * tv, radius,
+            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, lambda tv: 0.0 * tv, radius,
                                                     cfg.tcg_kappa, cfg.tcg_theta, 0)
-            model_dec = -inner_product(grad, xi)
-        hit_boundary = tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE)
+            model_dec = -inner_product(s.grad, xi)
         step_norm = xi.norm
-        accepted = False
-        g_new = g
+        moved = s
         if model_dec > 0 and step_norm > 0:
-            candidate = retract(point, xi, 1.0)
+            candidate = retract(s.point, xi, 1.0)
             g_new, cert_new = problem.evaluate_g(candidate)
+            if not np.isfinite(g_new):
+                return _Move(s, stop=NUMERICAL_ERROR, tcg_steps=tcg_steps, tcg_stop=tcg_stop)
             # Regularize the ratio so floating-point cancellation in g - g_new
             # cannot collapse the radius once both decreases reach noise level.
-            rho_reg = 1e3 * np.finfo(float).eps * max(1.0, abs(g))
-            rho = (g - g_new + rho_reg) / (model_dec + rho_reg)
+            rho_reg = 1e3 * np.finfo(float).eps * max(1.0, abs(s.g))
+            rho = (s.g - g_new + rho_reg) / (model_dec + rho_reg)
             if rho > 0.1:
-                accepted = True
-                point, g, cert = candidate, g_new, cert_new
-                grad = project_horizontal(point, riemannian_gradient(
-                    point, problem.euc_gradient(point, cert)))
-                gn = grad.norm
+                moved = _evaluate(problem, candidate, g_new, cert_new)
             if rho < 0.25:
                 radius *= 0.25
-            elif rho > 0.75 and hit_boundary:
+            elif rho > 0.75 and tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE):
                 radius = min(2.0 * radius, cfg.tr_max_radius)
         else:
             radius *= 0.25
-        want_gap = cfg.cert_every and (it % cfg.cert_every == 0 or gn <= tol
-                                       or it == cfg.max_outer_iters)
-        records.append(IterationRecord(
-            it, g, gn, step_norm if accepted else 0.0, time.perf_counter() - t0,
-            _gap_value(problem, point, cert) if want_gap else None, tcg_steps, tcg_stop))
-        if not (np.isfinite(g_new) and np.isfinite(gn)):
-            status = NUMERICAL_ERROR
-            break
-        if gn <= tol:
-            status = CONVERGED
-            break
-        if radius < 1e-16:
-            status = STALLED
-            break
-    return SolveResult(point, cert, records, status)
+        return _Move(moved, step_norm if moved is not s else 0.0,
+                     STALLED if radius < 1e-16 else None, tcg_steps, tcg_stop)
+
+    return _minimize(problem, u0, cfg, step)
 
 
 def _fix_signs(u: np.ndarray) -> np.ndarray:

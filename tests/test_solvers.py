@@ -7,6 +7,7 @@ from spectralr import adapters, data, inner, solvers
 from spectralr.data import synth_completion
 from spectralr.solvers import (
     CONVERGED,
+    MAX_ITERS,
     NUMERICAL_ERROR,
     STALLED,
     SolverConfig,
@@ -59,6 +60,44 @@ class NaNOnCall(QuadraticProblem):
         self.calls += 1
         g, cert = super().evaluate_g(point)
         return (float("nan") if self.calls == self.k else g), cert
+
+
+class NaNHessian(QuadraticProblem):
+    """The quadratic problem with a NaN Hessian-vector product; counts the
+    evaluate_g calls."""
+
+    def __init__(self, a):
+        super().__init__(a)
+        self.calls = 0
+
+    def evaluate_g(self, point):
+        self.calls += 1
+        return super().evaluate_g(point)
+
+    def euc_hess_vec(self, point, v, cert):
+        return np.full_like(v, np.nan)
+
+
+class CountingCompletion(adapters.CompletionAdapter):
+    """The completion adapter, counting its euc_gradient calls."""
+
+    grad_calls = 0
+
+    def euc_gradient(self, point, cert):
+        self.grad_calls += 1
+        return super().euc_gradient(point, cert)
+
+
+def small_completion(counting=False):
+    synth = synth_completion(15, 12, rank=2, sample_fraction=0.5, seed=4)
+    params = inner.RegularizationParams(c=1.0, inner_tol=1e-12, inner_max_iters=2000)
+    cls = CountingCompletion if counting else adapters.CompletionAdapter
+    adapter = cls(synth.train, params)
+    return adapter, initialize_point(adapter, 15, 2, seed=3)
+
+
+def gap_iterations(res):
+    return [r.iteration for r in res.records if r.duality_gap is not None]
 
 
 class TestTruncatedCG:
@@ -251,6 +290,20 @@ class TestNumericalError:
         assert res.status == NUMERICAL_ERROR
         assert len(res.records) == 1
 
+    @pytest.mark.parametrize("tcg_max_iters", [None, 0])
+    def test_nan_hessian_vector_product(self, tcg_max_iters):
+        prob = NaNHessian(np.diag(np.arange(1.0, 21.0)))
+        u0 = random_point(20, 1, np.random.default_rng(5))
+        res = solve_tr(prob, u0, SolverConfig(tcg_max_iters=tcg_max_iters))
+        assert res.status == NUMERICAL_ERROR
+        assert [r.iteration for r in res.records] == [0, 1]
+        last = res.records[-1]
+        assert (last.tcg_steps, last.tcg_stop) == (1, solvers.TCG_NON_FINITE)
+        assert last.step_size == 0.0
+        # no candidate was formed: g was evaluated at the start only
+        assert prob.calls == 1
+        assert np.array_equal(res.point.u, u0.u)
+
     def test_tcg_fields_only_under_tr(self):
         prob = diag_problem()
         u0 = random_point(20, 1, np.random.default_rng(5))
@@ -261,6 +314,46 @@ class TestNumericalError:
         assert all(r.tcg_steps >= 1 and r.tcg_stop in solvers.TCG_STOP_REASONS
                    for r in tr[1:])
         assert all((r.tcg_steps, r.tcg_stop) == (None, None) for r in cg)
+
+
+@pytest.mark.parametrize("solver", [solve_cg, solve_tr])
+class TestRecordContract:
+    """Records, gap cadence and gradient evaluations of the shared outer loop."""
+
+    def test_gap_cadence_until_converged(self, solver):
+        adapter, u0 = small_completion()
+        res = solver(adapter, u0, SolverConfig(max_outer_iters=300, grad_norm_tol=1e-6,
+                                               cert_every=3))
+        assert res.status == CONVERGED
+        last = res.records[-1].iteration
+        assert last % 3 != 0
+        assert gap_iterations(res) == list(range(0, last, 3)) + [last]
+
+    def test_gap_cadence_until_max_iters(self, solver):
+        adapter, u0 = small_completion()
+        res = solver(adapter, u0, SolverConfig(max_outer_iters=7, grad_norm_tol=1e-14,
+                                               cert_every=3))
+        assert res.status == MAX_ITERS
+        assert gap_iterations(res) == [0, 3, 6, 7]
+
+    def test_no_gap_without_cadence_or_certificate(self, solver):
+        adapter, u0 = small_completion()
+        res = solver(adapter, u0, SolverConfig(max_outer_iters=7, grad_norm_tol=1e-14))
+        assert len(res.records) == 8
+        assert gap_iterations(res) == []
+        # the quadratic fake has no duality_gap and no certificate
+        u0 = random_point(20, 1, np.random.default_rng(5))
+        res = solver(diag_problem(), u0, SolverConfig(max_outer_iters=7, grad_norm_tol=1e-14,
+                                                      cert_every=3))
+        assert len(res.records) == 8
+        assert gap_iterations(res) == []
+
+    def test_one_gradient_per_accepted_point(self, solver):
+        adapter, u0 = small_completion(counting=True)
+        res = solver(adapter, u0, SolverConfig(max_outer_iters=300, grad_norm_tol=1e-6))
+        accepted = sum(1 for r in res.records[1:] if r.step_size > 0)
+        assert accepted >= 4
+        assert adapter.grad_calls == 1 + accepted
 
 
 class TestInitializePoint:
