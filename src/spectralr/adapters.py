@@ -147,22 +147,39 @@ class _SquareLossDual:
 
     Column t has targets y_t and rows B_t of the n x r features of U; z_t
     solves (I/(2C) + B_t B_t^T) z_t = y_t.  Subclasses call _set_pattern
-    and define _features(u) and _m_of(z).
+    and define _features(u), _m_of(z) and _m_transpose(cert), M^T as the
+    left operand of a product.
+
+    Built once per adapter: the T x n CSR structure of the transposed
+    pattern, whose row t lists column t's entries in CSC order, and the
+    number of entries per column.  Each product swaps only the CSR's values
+    (_pattern_t_with), so no sparse matrix is constructed for it.  That CSR
+    is scratch: it is read by one product at a time and no certificate
+    holds it.  The kernels gather by CSC column order (see
+    inner.pattern_entries).
     """
 
     def _set_pattern(self, indptr, indices, n: int, y: np.ndarray):
-        """T x n 0/1 pattern transpose, column of each entry, targets in order."""
+        """Transposed pattern, entries per column and targets in CSC order."""
         t = indptr.size - 1
-        self._pattern_t = sp.csr_matrix((np.ones(y.size), indices, indptr), shape=(t, n))
-        self._cols = np.repeat(np.arange(t), np.diff(indptr))
+        self._ones = np.ones(y.size)
+        self._pattern_t = sp.csr_matrix((self._ones, indices, indptr), shape=(t, n))
+        self._counts = np.diff(indptr)
         self._y = y
+
+    def _pattern_t_with(self, values: np.ndarray) -> sp.csr_matrix:
+        """The scratch T x n CSR matrix holding values (CSC order) on the
+        pattern; valid until the next call."""
+        self._pattern_t.data = values
+        return self._pattern_t
 
     def evaluate_g(self, point):
         u = _mat(point)
         c = self.params.c
         feats = self._features(u)
-        grams = inner.square_gram_stack(feats, self._pattern_t, c)
-        z = inner.shifted_inverse_columns(feats, grams, c, self._pattern_t, self._cols, self._y)
+        grams = inner.square_gram_stack(feats, self._pattern_t_with(self._ones), c)
+        z = inner.shifted_inverse_columns(feats, grams, c, self._pattern_t_with(self._y),
+                                          self._counts)
         m = self._m_of(z)
         k = u.T @ m
         g = float(self._y @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
@@ -173,14 +190,18 @@ class _SquareLossDual:
     def euc_hess_vec(self, point, v, cert):
         u = _mat(point)
         feats = self._features(u)
+        rows, counts = self._pattern_t.indices, self._counts
         # w_t = B'_t (B_t^T z_t) + B_t (B'_t^T z_t) with B'_t the rows of the
         # features of V, B_t^T z_t = K[:, t] and B'_t^T z_t = (M^T V)[t]
-        rows, cols = self._pattern_t.indices, self._cols
-        w = (inner.pattern_entries(self._features(v), cert.k.T, rows, cols)
-             + inner.pattern_entries(feats, cert.m.T @ v, rows, cols))
+        mt_v = self._m_transpose(cert) @ v
+        w = (inner.pattern_entries(self._features(v), cert.k.T, rows, counts)
+             + inner.pattern_entries(feats, mt_v, rows, counts))
         zdot = -inner.shifted_inverse_columns(feats, cert.factors, self.params.c,
-                                              self._pattern_t, self._cols, w)
-        return inner.assemble_hess_vec(u, v, cert, self._m_of(zdot))
+                                              self._pattern_t_with(w), counts)
+        # scipy forms a sparse V^T M as (M^T V)^T, so the assembly reuses
+        # mt_v; a dense V^T M is another BLAS product with its own round-off
+        return inner.assemble_hess_vec(u, v, cert, self._m_of(zdot),
+                                       mt_v if sp.issparse(cert.m) else None)
 
 
 def _dense_column(mat: sp.csc_matrix, t_idx: int) -> np.ndarray:
@@ -225,7 +246,12 @@ class CompletionAdapter(_SquareLossDual, _CompletionBase):
         return u
 
     def _m_of(self, z):
-        return self._on_pattern(z)
+        # a new CSC matrix on the pattern's index arrays, which are never written
+        return sp.csc_matrix((z, self._pattern_t.indices, self._pattern_t.indptr),
+                             shape=(self.d, self.t))
+
+    def _m_transpose(self, cert):
+        return self._pattern_t_with(cert.z)
 
 
 class RobustCompletionAdapter(_CompletionBase):
@@ -417,9 +443,10 @@ class MTFLAdapter(_SquareLossDual, ProblemAdapter):
 
     def _m_of(self, z):
         # (Z^T X_all)^T with Z^T the T x N matrix of z on the task pattern
-        z_t = sp.csr_matrix((z, self._pattern_t.indices, self._pattern_t.indptr),
-                            shape=self._pattern_t.shape)
-        return (z_t @ self._x_all).T
+        return (self._pattern_t_with(z) @ self._x_all).T
+
+    def _m_transpose(self, cert):
+        return cert.m.T
 
 
 # --------------------------------------------------------------------------

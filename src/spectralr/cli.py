@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,15 +185,24 @@ def parse_kv_spec(text: str, flag: str, required=()) -> dict:
     return out
 
 
-def _synth_completion(spec: dict, seed: int):
-    return data.synth_completion(
-        int(spec["d"]), int(spec["T"]), int(spec["r"]), spec["frac"],
-        noise_sigma=spec.get("sigma", 0.0), seed=seed, nonneg=bool(spec.get("nonneg", 0)))
+def _synth_completion(spec: dict, seed: int, flag: str):
+    try:
+        return data.synth_completion(
+            int(spec["d"]), int(spec["T"]), int(spec["r"]), spec["frac"],
+            noise_sigma=spec.get("sigma", 0.0), seed=seed, nonneg=bool(spec.get("nonneg", 0)))
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
-def _lti_spec(spec: dict):
-    return data.LTISystemSpec(int(spec["r0"]), int(spec["d"]), int(spec["T"]),
-                              noise_sigma=spec.get("sigma", 0.05))
+def _synth_hankel(text: str, seed: int, flag: str):
+    """(LTISystemSpec, y_true, y_noisy) for the key=value spec text."""
+    spec = parse_kv_spec(text, flag, ("r0", "d", "T"))
+    try:
+        lti = data.LTISystemSpec(int(spec["r0"]), int(spec["d"]), int(spec["T"]),
+                                 noise_sigma=spec.get("sigma", 0.05))
+        return (lti, *data.synth_hankel(lti, seed))
+    except (ValueError, OverflowError) as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def _add_solver_flags(p):
@@ -252,7 +262,7 @@ def build_parser() -> _Parser:
 def _load_completion_data(args):
     if args.synth:
         spec = parse_kv_spec(args.synth, "--synth", ("d", "T", "r", "frac"))
-        synth = _synth_completion(spec, args.seed)
+        synth = _synth_completion(spec, args.seed, "--synth")
         train, test = synth.train, synth.test
         if spec.get("outfrac", 0.0) > 0:
             train = _plant_outliers(train, spec["outfrac"], spec.get("outmag", 10.0),
@@ -284,6 +294,27 @@ def _plant_outliers(matrix, fraction, magnitude, seed):
     vals = vals.copy()
     vals[hit] *= magnitude
     return data.ColumnSparseMatrix.from_triplets(rows, cols, vals, matrix.d, matrix.t)
+
+
+def _check_solver_flags(args, rows: int, what: str) -> None:
+    """Reject numeric solver flags that no solve can use, before any solve.
+
+    rows is the row count of the factor U (what names it): the rank must
+    lie in [1, rows].
+    """
+    if not 1 <= args.rank <= rows:
+        raise CliError(f"--rank: must lie in [1, {rows}] ({what}), got {args.rank}")
+    if not (math.isfinite(args.c) and args.c > 0):
+        raise CliError(f"--C: must be positive and finite, got {args.c!r}")
+    for flag, value in (("--epsilon", args.epsilon), ("--grad-tol", args.grad_tol),
+                        ("--inner-tol", args.inner_tol)):
+        if not (math.isfinite(value) and value >= 0):
+            raise CliError(f"{flag}: must be nonnegative and finite, got {value!r}")
+    for flag, value, least in (("--max-outer", args.max_outer, 0),
+                               ("--inner-iters", args.inner_iters, 1),
+                               ("--cert-every", args.cert_every, 0)):
+        if value < least:
+            raise CliError(f"{flag}: must be at least {least}, got {value}")
 
 
 def _run_solver(adapter, args, d):
@@ -344,6 +375,7 @@ def cmd_completion_family(args) -> int:
     if kind is None:
         kind = "robust_l1" if args.loss == "l1" else "robust_eps_svr"
     train, test = _load_completion_data(args)
+    _check_solver_flags(args, train.d, "the row count d")
     params = inner.RegularizationParams(args.c, args.epsilon,
                                         args.inner_tol, args.inner_iters)
     adapter = adapters.make_completion_adapter(kind, train, params)
@@ -358,8 +390,7 @@ def cmd_completion_family(args) -> int:
 
 def cmd_hankel(args) -> int:
     if args.synth:
-        lti = _lti_spec(parse_kv_spec(args.synth, "--synth", ("r0", "d", "T")))
-        y_true, y_noisy = data.synth_hankel(lti, args.seed)
+        lti, y_true, y_noisy = _synth_hankel(args.synth, args.seed, "--synth")
         problem = adapters.HankelProblem(y_noisy, lti.d, lti.t)
     elif args.data:
         if args.d is None or args.t_dim is None:
@@ -372,6 +403,7 @@ def cmd_hankel(args) -> int:
             raise CliError(f"--data: {exc}") from None
     else:
         raise CliError("one of --data or --synth is required")
+    _check_solver_flags(args, problem.d, "min(d, T)")
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
                                         inner_max_iters=args.inner_iters)
     adapter = adapters.HankelAdapter(problem, params)
@@ -422,6 +454,7 @@ def cmd_mtfl(args) -> int:
         if test_set.d != taskset.d or test_set.t > taskset.t:
             raise CliError(f"--test-data: {test_set.t} tasks of {test_set.d} features do not "
                            f"fit the {taskset.t} training tasks of {taskset.d} features")
+    _check_solver_flags(args, taskset.d, "the feature count")
     if args.standardize:
         _standardize(taskset, test_set)
     params = inner.RegularizationParams(args.c, inner_tol=args.inner_tol,
@@ -444,15 +477,14 @@ def cmd_synth(args) -> int:
     os.makedirs(args.output_dir, exist_ok=True)
     if args.completion:
         spec = parse_kv_spec(args.completion, "--completion", ("d", "T", "r", "frac"))
-        synth = _synth_completion(spec, args.seed)
+        synth = _synth_completion(spec, args.seed, "--completion")
         data.save_triplets(os.path.join(args.output_dir, "train.txt"), synth.train)
         data.save_triplets(os.path.join(args.output_dir, "test.txt"), synth.test)
         print(f"synth: wrote train.txt ({synth.train.nnz} entries) and "
               f"test.txt ({synth.test.nnz} entries)")
         return 0
     if args.hankel:
-        lti = _lti_spec(parse_kv_spec(args.hankel, "--hankel", ("r0", "d", "T")))
-        y_true, y_noisy = data.synth_hankel(lti, args.seed)
+        _, y_true, y_noisy = _synth_hankel(args.hankel, args.seed, "--hankel")
         np.savetxt(os.path.join(args.output_dir, "y_true.txt"), y_true, fmt="%.17g")
         np.savetxt(os.path.join(args.output_dir, "y_noisy.txt"), y_noisy, fmt="%.17g")
         print(f"synth: wrote y_true.txt and y_noisy.txt ({y_true.size} samples)")
@@ -481,6 +513,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed: must be nonnegative, got {args.seed}")
         if args.command in ("complete", "robust-complete", "nn-complete"):
             return cmd_completion_family(args)
         if args.command == "hankel":

@@ -113,36 +113,56 @@ def square_gram_stack(u_full: np.ndarray, pattern_t, c: float) -> np.ndarray:
     for column t: the observed rows U[omega_t] in completion (pattern_t is
     the transposed observation pattern), the task's rows X_t U of the
     stacked X_all U in multi-task learning (pattern_t is task membership).
-    The whole stack is one sparse-dense product with the n x r^2 matrix
-    whose row i is u_full[i] (x) u_full[i].  Returns a (T, r, r) array.
+    G_t is symmetric, so the stack is one sparse-dense product with the
+    n x r(r+1)/2 matrix whose row i holds the upper products
+    u_full[i, a] u_full[i, b], a <= b; the lower triangle copies the same
+    sums.  Returns a (T, r, r) array.
     """
-    d, r = u_full.shape
-    outer = (u_full[:, :, None] * u_full[:, None, :]).reshape(d, r * r)
-    grams = np.asarray(pattern_t @ outer).reshape(-1, r, r)
+    n, r = u_full.shape
+    upper_a, upper_b = np.triu_indices(r)
+    products = np.empty((n, upper_a.size))
+    for a in range(r):  # the pairs (a, a..r-1), in triu_indices order
+        start = a * r - a * (a - 1) // 2
+        np.multiply(u_full[:, a, None], u_full[:, a:], out=products[:, start:start + r - a])
+    sums = np.asarray(pattern_t @ products)
+    pair = np.empty((r, r), dtype=np.intp)
+    pair[upper_a, upper_b] = pair[upper_b, upper_a] = np.arange(upper_a.size)
+    grams = np.take(sums, pair.ravel(), axis=1).reshape(-1, r, r)
     grams[:, np.arange(r), np.arange(r)] += 1.0 / (2.0 * c)
     return grams
 
 
 def shifted_inverse_columns(u_full: np.ndarray, grams: np.ndarray, c: float,
-                            pattern_t, cols: np.ndarray, w: np.ndarray) -> np.ndarray:
+                            w_t, counts: np.ndarray) -> np.ndarray:
     """(I/(2C) + B_t B_t^T)^{-1} w_t for every column t in one batched solve.
 
-    w holds one value per observed entry in CSC order and cols the column of
-    each entry; grams comes from square_gram_stack.  Same Woodbury form as
-    apply_shifted_inverse: 2C (w_t - B_t G_t^{-1} B_t^T w_t).
+    w_t is the T x n CSR matrix whose row t holds column t's values of w on
+    its pattern (the pattern_t of square_gram_stack with w as its data), so
+    w_t.data is w in CSC order and counts[t] the number of column t's
+    entries; the adapters build that structure once and swap in w.  grams
+    comes from square_gram_stack.  Same Woodbury form as
+    apply_shifted_inverse: 2C (w_t - B_t G_t^{-1} B_t^T w_t).  Returns a
+    new array, one value per entry in CSC order.
     """
-    rows = pattern_t.indices
-    rhs = sp.csr_matrix((w, rows, pattern_t.indptr), shape=pattern_t.shape) @ u_full
+    rhs = w_t @ u_full
     # b is passed as (T, r, 1): numpy 2 reads a 2-D b as one matrix, not as
     # a stack of vectors
     sol = np.linalg.solve(grams, rhs[..., None])[..., 0]
-    return 2.0 * c * (w - pattern_entries(u_full, sol, rows, cols))
+    return 2.0 * c * (w_t.data - pattern_entries(u_full, sol, w_t.indices, counts))
 
 
 def pattern_entries(a: np.ndarray, b: np.ndarray, rows: np.ndarray,
-                    cols: np.ndarray) -> np.ndarray:
-    """Entries (rows[i], cols[i]) of A B^T, without forming A B^T."""
-    return np.einsum("ij,ij->i", a[rows], b[cols])
+                    counts: np.ndarray) -> np.ndarray:
+    """Entries of A B^T on a pattern in CSC order, without forming A B^T.
+
+    Column t holds counts[t] entries, at rows rows[indptr[t]:indptr[t + 1]]
+    with indptr the running sum of counts; the adapters compute counts once.
+    The gather relies on CSC column order: each column's entries are
+    contiguous, so row t of B is repeated counts[t] times instead of being
+    gathered by the column of every entry.  Same products, summed in the
+    same order.
+    """
+    return np.einsum("ij,ij->i", np.take(a, rows, axis=0), np.repeat(b, counts, axis=0))
 
 
 def solve_column_box_cd(u_rows: np.ndarray, y: np.ndarray, c: float, eps: float,
@@ -404,13 +424,14 @@ def euc_gradient(u_mat: np.ndarray, cert: DualCertificate) -> np.ndarray:
 
 
 def assemble_hess_vec(u_mat: np.ndarray, v_mat: np.ndarray,
-                      cert: DualCertificate, mdot) -> np.ndarray:
+                      cert: DualCertificate, mdot, mt_v: np.ndarray | None = None) -> np.ndarray:
     """Directional derivative of the gradient from M and its derivative Mdot.
 
-    D grad[V] = -(Mdot M^T U + M Mdot^T U + M M^T V).
+    D grad[V] = -(Mdot M^T U + M Mdot^T U + M M^T V).  mt_v is M^T V when
+    the caller has already formed it; otherwise V^T M is formed here.
     """
     k_dot = u_mat.T @ mdot
-    k_v = v_mat.T @ cert.m
+    k_v = v_mat.T @ cert.m if mt_v is None else mt_v.T
     return -(mdot @ cert.k.T + cert.m @ (k_dot + k_v).T)
 
 

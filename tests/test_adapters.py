@@ -131,10 +131,8 @@ class TestBatchedSquareDual:
         assert np.array_equal(cert.z, cert.m.data)
         assert cert.factors.shape == (t, r, r)
         w = g.standard_normal(data.nnz)
-        pattern_t = sp.csr_matrix((np.ones(data.nnz), data.indices, data.indptr),
-                                  shape=(t, d))
-        col_of = np.repeat(np.arange(t), np.diff(data.indptr))
-        zdot = inner.shifted_inverse_columns(u, cert.factors, c, pattern_t, col_of, w)
+        w_t = sp.csr_matrix((w, data.indices, data.indptr), shape=(t, d))
+        zdot = inner.shifted_inverse_columns(u, cert.factors, c, w_t, np.diff(data.indptr))
         for t_idx in range(t):
             lo, hi = data.indptr[t_idx], data.indptr[t_idx + 1]
             idx, y = data.column(t_idx)
@@ -172,7 +170,7 @@ class TestBatchedMTFLDual:
         kernel = inner.shifted_inverse_columns
 
         def spy(*args):
-            solves.append((args[-1], kernel(*args)))
+            solves.append((args[3].data, kernel(*args)))
             return solves[-1][1]
 
         with mock.patch.object(inner, "shifted_inverse_columns", spy):
@@ -203,6 +201,147 @@ class TestBatchedMTFLDual:
         m2 = np.linalg.norm(cert.m, 2)
         terms = np.linalg.norm(mdot_ref, 2) * m2 + m2 ** 2 * np.linalg.norm(v, 2)
         assert np.linalg.norm(hv - hv_ref) <= 64 * np.finfo(float).eps * kappa * terms
+
+
+# Reference formulas for the CSC-order kernels: a gather by the column of
+# every entry, the full r x r outer products, and a sparse matrix built for
+# every product.
+
+def gather_entries(a, b, rows, cols):
+    return np.einsum("ij,ij->i", a[rows], b[cols])
+
+
+def full_gram_stack(u, pattern_t, c):
+    n, r = u.shape
+    outer = (u[:, :, None] * u[:, None, :]).reshape(n, r * r)
+    grams = np.asarray(pattern_t @ outer).reshape(-1, r, r)
+    grams[:, np.arange(r), np.arange(r)] += 1.0 / (2.0 * c)
+    return grams
+
+
+def built_shifted_inverse(u, grams, c, pattern_t, cols, w):
+    rhs = sp.csr_matrix((w, pattern_t.indices, pattern_t.indptr), shape=pattern_t.shape) @ u
+    sol = np.linalg.solve(grams, rhs[..., None])[..., 0]
+    return 2.0 * c * (w - gather_entries(u, sol, pattern_t.indices, cols))
+
+
+def task_indptr(sizes):
+    return np.concatenate([[0], np.cumsum(sizes)])
+
+
+class TestSquareKernelsExact:
+    # Bit for bit against the oracles, on patterns with empty leading,
+    # middle and trailing columns and columns with fewer entries than r.
+    def check(self, rows, indptr, n, r, seed):
+        t = indptr.size - 1
+        g = rng(seed)
+        counts = np.diff(indptr)
+        cols = np.repeat(np.arange(t), counts)
+        a, b = g.standard_normal((n, r)), g.standard_normal((t, r))
+        for rows_as in (rows, rows.astype(np.int32)):
+            assert np.array_equal(inner.pattern_entries(a, b, rows_as, counts),
+                                  gather_entries(a, b, rows, cols))
+        pattern_t = sp.csr_matrix((np.ones(rows.size), rows, indptr), shape=(t, n))
+        c = 10.0 ** g.uniform(-2.0, 8.0)
+        grams = inner.square_gram_stack(a, pattern_t, c)
+        assert np.array_equal(grams, full_gram_stack(a, pattern_t, c))
+        assert np.array_equal(grams, grams.transpose(0, 2, 1))
+        w = g.standard_normal(rows.size)
+        w_t = sp.csr_matrix((w, rows, indptr), shape=(t, n))
+        assert np.array_equal(inner.shifted_inverse_columns(a, grams, c, w_t, counts),
+                              built_shifted_inverse(a, grams, c, pattern_t, cols, w))
+
+    @settings(deadline=None, max_examples=100, derandomize=True)
+    @given(sparse_patterns(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_completion_patterns(self, pattern, r, seed):
+        rows, cols, vals, d, t = pattern
+        data = ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
+        self.check(data.indices, data.indptr, d, r, seed)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_task_pattern(self, r):
+        indptr = task_indptr([3, 1, 7, 2, 5])
+        self.check(np.arange(indptr[-1]), indptr, indptr[-1], r, seed=r)
+
+
+def square_loss_case(kind):
+    """(adapter, d, features of a d x r matrix, rows, indptr, Mdot built anew
+    from zdot) for a completion pattern with empty leading, middle and
+    trailing columns, or for 5 tasks of 24 features."""
+    g = rng(40)
+    if kind == "completion":
+        d, t = 15, 12
+        keep = g.random((d, t)) < 0.4
+        keep[:, [0, 5, t - 1]] = False
+        rows, cols = np.nonzero(keep)
+        data = ColumnSparseMatrix.from_triplets(rows, cols, g.standard_normal(rows.size), d, t)
+        return (ad.CompletionAdapter(data, params(c=50.0)), d, lambda u: u,
+                data.indices, data.indptr,
+                lambda z: sp.csc_matrix((z, data.indices, data.indptr), shape=(d, t)))
+    d, sizes = 24, [9, 3, 12, 1, 6]
+    tasks = [(g.standard_normal((n, d)), g.standard_normal(n)) for n in sizes]
+    x_all, indptr = np.vstack([x for x, _ in tasks]), task_indptr(sizes)
+    rows = np.arange(indptr[-1])
+    shape = (len(sizes), rows.size)
+    return (ad.MTFLAdapter(ad.MTFLTaskSet(tasks), params(c=5.0)), d, lambda u: x_all @ u,
+            rows, indptr, lambda z: (sp.csr_matrix((z, rows, indptr), shape=shape) @ x_all).T)
+
+
+class TestSquareDualPath:
+    # evaluate_g and the Hessian-vector product of both square-loss adapters
+    # against the path that builds every sparse matrix anew, bit for bit.
+    @pytest.mark.parametrize("kind", ["completion", "mtfl"])
+    @pytest.mark.parametrize("r", [1, 3])
+    def test_matches_built_path(self, kind, r):
+        adapter, d, features, rows, indptr, build_m = square_loss_case(kind)
+        c, t = adapter.params.c, indptr.size - 1
+        cols = np.repeat(np.arange(t), np.diff(indptr))
+        g = rng(41 + r)
+        u = normalized_point(g.standard_normal((d, r))).u
+        v = g.standard_normal((d, r))
+        value, cert = adapter.evaluate_g(u)
+        feats, y = features(u), adapter._y
+        pattern_t = sp.csr_matrix((np.ones(y.size), rows, indptr), shape=(t, feats.shape[0]))
+        grams = full_gram_stack(feats, pattern_t, c)
+        z = built_shifted_inverse(feats, grams, c, pattern_t, cols, y)
+        m = build_m(z)
+        k = u.T @ m
+        assert np.array_equal(cert.factors, grams) and np.array_equal(cert.z, z)
+        assert np.array_equal(cert.k, k)
+        dense = (lambda x: x.toarray()) if sp.issparse(m) else np.asarray
+        assert np.array_equal(dense(cert.m), dense(m))
+        assert value == float(y @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
+        solves = []
+        kernel = inner.shifted_inverse_columns
+
+        def spy(*args):
+            solves.append((args[3].data, kernel(*args)))
+            return solves[-1][1]
+
+        with mock.patch.object(inner, "shifted_inverse_columns", spy):
+            hv = adapter.euc_hess_vec(u, v, cert)
+        (w, sol), = solves
+        w_ref = (gather_entries(features(v), cert.k.T, rows, cols)
+                 + gather_entries(feats, cert.m.T @ v, rows, cols))
+        assert np.array_equal(w, w_ref)
+        assert np.array_equal(hv, inner.assemble_hess_vec(u, v, cert, build_m(-sol)))
+
+    @pytest.mark.parametrize("kind", ["completion", "mtfl"])
+    def test_reused_structure_aliases_nothing(self, kind):
+        adapter, d = square_loss_case(kind)[:2]
+        g = rng(43)
+        u1, u2 = (normalized_point(g.standard_normal((d, 3))).u for _ in range(2))
+        v = g.standard_normal((d, 3))
+        _, cert1 = adapter.evaluate_g(u1)
+        m1 = cert1.m.data if sp.issparse(cert1.m) else cert1.m
+        saved = [x.copy() for x in (m1, cert1.z, cert1.factors, cert1.k)]
+        hv1 = adapter.euc_hess_vec(u1, v, cert1)
+        _, cert2 = adapter.evaluate_g(u2)
+        for _ in range(3):
+            adapter.euc_hess_vec(u2, g.standard_normal((d, 3)), cert2)
+        for before, after in zip(saved, (m1, cert1.z, cert1.factors, cert1.k)):
+            assert np.array_equal(before, after)
+        assert np.array_equal(adapter.euc_hess_vec(u1, v, cert1), hv1)
 
 
 def box_active_set_margin(adapter, point, cert):

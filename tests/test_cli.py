@@ -118,6 +118,69 @@ class TestInputBoundary:
         assert capsys.readouterr().err.startswith(
             "error: --test-data: a 5 x 6 matrix does not fit the 3 x 3 training matrix")
 
+    @pytest.mark.parametrize("command, synth, flags, message", [
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "6", "--C", "10"],
+         "--rank: must lie in [1, 4] (the row count d), got 6"),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "0", "--C", "10"], "--rank: "),
+        ("robust-complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "-1"],
+         "--C: must be positive and finite, got -1.0"),
+        ("nn-complete", "d=4,T=5,r=2,frac=0.9,nonneg=1", ["--rank", "2", "--C", "inf"], "--C: "),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "nan"], "--C: "),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "1", "--max-outer", "-1"],
+         "--max-outer: must be at least 0, got -1"),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "1", "--inner-iters", "0"],
+         "--inner-iters: "),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "1", "--cert-every", "-2"],
+         "--cert-every: "),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "1", "--grad-tol", "-1"],
+         "--grad-tol: "),
+        ("robust-complete", "d=4,T=5,r=2,frac=0.9",
+         ["--rank", "2", "--C", "1", "--epsilon", "-0.5"], "--epsilon: "),
+        ("hankel", "r0=3,d=10,T=10", ["--rank", "12", "--C", "1"],
+         "--rank: must lie in [1, 10] (min(d, T)), got 12"),
+        ("hankel", "r0=2,d=12,T=5", ["--rank", "6", "--C", "1"], "--rank: must lie in [1, 5]"),
+        ("hankel", "r0=3,d=10,T=10", ["--rank", "2", "--C", "0"], "--C: "),
+        ("complete", "d=4,T=5,r=2,frac=0.9", ["--rank", "2", "--C", "1", "--seed", "-1"],
+         "--seed: must be nonnegative, got -1"),
+        ("complete", "d=4,T=5,r=2,frac=1.5", ["--rank", "2", "--C", "1"],
+         "--synth: sample_fraction must be in (0, 1]"),
+        ("hankel", "r0=0,d=5,T=5", ["--rank", "1", "--C", "1"], "--synth: order must be >= 1"),
+    ])
+    def test_numeric_flags_checked_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                  command, synth, flags, message):
+        monkeypatch.setattr(cli, "_run_solver", lambda *a: pytest.fail("solver ran"))
+        assert cli.main([command, "--synth", synth, *flags, "-o", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--rank", "4", "--C", "1"], "--rank: must lie in [1, 3] (the feature count), got 4"),
+        (["--rank", "1", "--C", "-2"], "--C: "),
+        (["--rank", "1", "--C", "1", "--max-outer", "-5"], "--max-outer: "),
+    ])
+    def test_mtfl_numeric_flags_checked_before_solving(self, tmp_path, capsys, monkeypatch,
+                                                       flags, message):
+        np.savez(tmp_path / "train.npz", X0=np.ones((4, 3)), y0=np.ones(4))
+        monkeypatch.setattr(cli, "_run_solver", lambda *a: pytest.fail("solver ran"))
+        assert cli.main(["mtfl", "--data", str(tmp_path / "train.npz"), *flags,
+                         "-o", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hankel", "r0=0,d=5,T=5"], "--hankel: order must be >= 1"),
+        (["--completion", "d=4,T=5,r=2,frac=0"], "--completion: sample_fraction"),
+        (["--completion", "d=4,T=5,r=2,frac=0.5", "--seed", "-3"], "--seed: "),
+    ])
+    def test_synth_specs_checked(self, tmp_path, capsys, flags, message):
+        assert cli.main(["synth", *flags, "-o", str(tmp_path / "s")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+
+    def test_boundary_values_accepted(self, tmp_path, capsys):
+        code = cli.main(["complete", "--synth", "d=4,T=5,r=2,frac=0.9", "--rank", "4",
+                         "--C", "10", "--max-outer", "0", "--cert-every", "0",
+                         "--inner-iters", "1", "--grad-tol", "0", "-o", str(tmp_path / "c")])
+        assert code in (0, 2)
+        assert "error" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("test_arrays", [
         {"X0": np.ones((2, 3)), "y0": np.ones(2), "X1": np.ones((2, 3)), "y1": np.ones(2),
          "X2": np.ones((2, 3)), "y2": np.ones(2)},
