@@ -216,6 +216,9 @@ class _CompletionBase(ProblemAdapter):
         super().__init__(params)
         self.data = data
         self.d, self.t = data.d, data.t
+        # index arrays in scipy's dtype, which _m_of shares; never written
+        csc = sp.csc_matrix((data.values, data.indices, data.indptr), shape=(self.d, self.t))
+        self._indices, self._indptr = csc.indices, csc.indptr
 
     def _primal_data(self):
         return self.data
@@ -223,10 +226,9 @@ class _CompletionBase(ProblemAdapter):
     def initialization_matrix(self):
         return self.data.to_scipy()
 
-    def _on_pattern(self, values: np.ndarray) -> sp.csc_matrix:
+    def _m_of(self, z: np.ndarray) -> sp.csc_matrix:
         """CSC matrix with the observation pattern and one value per entry."""
-        return sp.csc_matrix((values, self.data.indices, self.data.indptr),
-                             shape=(self.d, self.t))
+        return sp.csc_matrix((z, self._indices, self._indptr), shape=(self.d, self.t))
 
     def _column_slice(self, t_idx: int) -> slice:
         return slice(self.data.indptr[t_idx], self.data.indptr[t_idx + 1])
@@ -240,15 +242,10 @@ class CompletionAdapter(_SquareLossDual, _CompletionBase):
 
     def __init__(self, data: ColumnSparseMatrix, params):
         super().__init__(data, params)
-        self._set_pattern(data.indptr, data.indices, self.d, data.values)
+        self._set_pattern(self._indptr, self._indices, self.d, data.values)
 
     def _features(self, u):
         return u
-
-    def _m_of(self, z):
-        # a new CSC matrix on the pattern's index arrays, which are never written
-        return sp.csc_matrix((z, self._pattern_t.indices, self._pattern_t.indptr),
-                             shape=(self.d, self.t))
 
     def _m_transpose(self, cert):
         return self._pattern_t_with(cert.z)
@@ -282,7 +279,7 @@ class RobustCompletionAdapter(_CompletionBase):
             z_cols.append(z)
             converged = converged and ok
         z = np.concatenate(z_cols)
-        m = self._on_pattern(z)
+        m = self._m_of(z)
         k = u.T @ m
         g = float(self.data.values @ z - eps * np.sum(np.abs(z)) - 0.5 * np.sum(k * k))
         cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k,
@@ -298,7 +295,7 @@ class RobustCompletionAdapter(_CompletionBase):
             idx, _ = self.data.column(t_idx)
             zdots.append(inner.zdot_column_box(u[idx], v[idx],
                                                cert.z[self._column_slice(t_idx)], c, eps))
-        mdot = self._on_pattern(np.concatenate(zdots))
+        mdot = self._m_of(np.concatenate(zdots))
         return inner.assemble_hess_vec(u, v, cert, mdot)
 
 
@@ -327,7 +324,7 @@ class NonnegCompletionAdapter(_CompletionBase):
             converged = converged and ok
         z = np.concatenate(z_cols)
         s_mat = _csc_columns(self.d, s_rows, s_vals)
-        m = self._on_pattern(z) + s_mat
+        m = self._m_of(z) + s_mat
         k = u.T @ m
         g = float(self.data.values @ z - z @ z / (4.0 * c) - 0.5 * np.sum(k * k))
         cert = DualCertificate(kind=self.kind, g_value=g, m=m, k=k, z=z,
@@ -348,7 +345,7 @@ class NonnegCompletionAdapter(_CompletionBase):
             zdots.append(zdot)
             sdot_rows.append(nz)
             sdot_vals.append(sdot[nz])
-        mdot = (self._on_pattern(np.concatenate(zdots))
+        mdot = (self._m_of(np.concatenate(zdots))
                 + _csc_columns(self.d, sdot_rows, sdot_vals))
         return inner.assemble_hess_vec(u, v, cert, mdot)
 

@@ -50,18 +50,9 @@ def _json_default(x):
 
 
 def write_summary(path, payload: dict) -> None:
-    # Floats carry 17 significant digits for reproducibility audits.
-    def convert(obj):
-        if isinstance(obj, float):
-            return float(fmt_float(obj))
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [convert(v) for v in obj]
-        return obj
-
+    # json writes a float by repr, which reads back to the same bits.
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(convert(payload), fh, indent=2, default=_json_default)
+        json.dump(payload, fh, indent=2, default=_json_default)
         fh.write("\n")
 
 
@@ -208,7 +199,6 @@ def _synth_hankel(text: str, seed: int, flag: str):
 def _add_solver_flags(p):
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--C", type=float, required=True, dest="c")
-    p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--solver", choices=["cg", "tr"], default="tr")
     p.add_argument("--max-outer", type=int, default=300)
     p.add_argument("--grad-tol", type=float, default=1e-6)
@@ -234,11 +224,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("complete", "robust-complete", "nn-complete", "hankel"):
         p = sub.add_parser(name)
+        p.set_defaults(func=cmd_hankel if name == "hankel" else cmd_completion_family)
         _add_matrix_inputs(p)
         _add_solver_flags(p)
         if name == "robust-complete":
             p.add_argument("--loss", choices=["l1", "eps-svr"], default="l1")
+            p.add_argument("--epsilon", type=float, default=0.0)
     p = sub.add_parser("mtfl")
+    p.set_defaults(func=cmd_mtfl)
     p.add_argument("--data", required=True,
                    help="npz archive with arrays X0,y0,X1,y1,...")
     p.add_argument("--test-data", help="npz archive with matching test tasks")
@@ -248,12 +241,14 @@ def build_parser() -> _Parser:
     _add_solver_flags(p)
 
     p = sub.add_parser("synth")
+    p.set_defaults(func=cmd_synth)
     p.add_argument("--completion", help="d=..,T=..,r=..,frac=..[,sigma=..,nonneg=1]")
     p.add_argument("--hankel", help="r0=..,d=..,T=..[,sigma=..]")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output-dir", default=".")
 
     p = sub.add_parser("check-cert")
+    p.set_defaults(func=cmd_check_cert)
     p.add_argument("model_dir", help="directory holding model.npz")
     p.add_argument("--gap-tol", type=float, default=1e-6)
     return parser
@@ -300,16 +295,20 @@ def _check_solver_flags(args, rows: int, what: str) -> None:
     """Reject numeric solver flags that no solve can use, before any solve.
 
     rows is the row count of the factor U (what names it): the rank must
-    lie in [1, rows].
+    lie in [1, rows].  Only robust-complete has --epsilon, and under
+    --loss l1 it must be 0.
     """
     if not 1 <= args.rank <= rows:
         raise CliError(f"--rank: must lie in [1, {rows}] ({what}), got {args.rank}")
     if not (math.isfinite(args.c) and args.c > 0):
         raise CliError(f"--C: must be positive and finite, got {args.c!r}")
-    for flag, value in (("--epsilon", args.epsilon), ("--grad-tol", args.grad_tol),
+    epsilon = getattr(args, "epsilon", 0.0)
+    for flag, value in (("--epsilon", epsilon), ("--grad-tol", args.grad_tol),
                         ("--inner-tol", args.inner_tol)):
         if not (math.isfinite(value) and value >= 0):
             raise CliError(f"{flag}: must be nonnegative and finite, got {value!r}")
+    if epsilon and args.loss == "l1":
+        raise CliError(f"--epsilon: must be 0 under --loss l1, got {epsilon!r}")
     for flag, value, least in (("--max-outer", args.max_outer, 0),
                                ("--inner-iters", args.inner_iters, 1),
                                ("--cert-every", args.cert_every, 0)):
@@ -376,7 +375,7 @@ def cmd_completion_family(args) -> int:
         kind = "robust_l1" if args.loss == "l1" else "robust_eps_svr"
     train, test = _load_completion_data(args)
     _check_solver_flags(args, train.d, "the row count d")
-    params = inner.RegularizationParams(args.c, args.epsilon,
+    params = inner.RegularizationParams(args.c, getattr(args, "epsilon", 0.0),
                                         args.inner_tol, args.inner_iters)
     adapter = adapters.make_completion_adapter(kind, train, params)
     result, wall = _run_solver(adapter, args, train.d)
@@ -515,17 +514,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"--seed: must be nonnegative, got {args.seed}")
-        if args.command in ("complete", "robust-complete", "nn-complete"):
-            return cmd_completion_family(args)
-        if args.command == "hankel":
-            return cmd_hankel(args)
-        if args.command == "mtfl":
-            return cmd_mtfl(args)
-        if args.command == "synth":
-            return cmd_synth(args)
-        if args.command == "check-cert":
-            return cmd_check_cert(args)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

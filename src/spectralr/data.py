@@ -172,11 +172,10 @@ def load_triplets(path, d: int | None = None, t: int | None = None) -> ColumnSpa
     return ColumnSparseMatrix.from_triplets(rows, cols, vals, d, t)
 
 
-def save_triplets(path, matrix: ColumnSparseMatrix, header: bool = True) -> None:
-    """Write the matrix as 1-based triplets; floats keep 17 significant digits."""
+def save_triplets(path, matrix: ColumnSparseMatrix) -> None:
+    """Write 1-based triplets under a "%%d T nnz" header (17-digit floats)."""
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(f"%%{matrix.d} {matrix.t} {matrix.nnz}\n")
+        fh.write(f"%%{matrix.d} {matrix.t} {matrix.nnz}\n")
         for i, j, v in zip(*matrix.to_coo()):
             fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
 
@@ -197,9 +196,6 @@ class GroundTruth:
 
     def dense(self) -> np.ndarray:
         return self.left @ self.right.T
-
-    def rms(self) -> float:
-        return float(np.sqrt(np.mean(self.dense() ** 2)))
 
 
 def _sample_without_replacement(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -317,6 +313,12 @@ def antidiag_means(w: np.ndarray) -> np.ndarray:
     return antidiag_sums(w) / antidiag_counts(d, t)
 
 
+# Spectral radius of synth_hankel's state matrix (below 1: stable), and the
+# draws it makes before it gives up.
+LTI_SPECTRAL_RADIUS = 0.9
+LTI_MAX_DRAWS = 10
+
+
 @dataclass(frozen=True)
 class LTISystemSpec:
     """Random stable discrete-time LTI system whose impulse response we sample."""
@@ -325,32 +327,29 @@ class LTISystemSpec:
     d: int
     t: int
     noise_sigma: float = 0.05
-    spectral_radius_cap: float = 0.9
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
-        if not (0 < self.spectral_radius_cap < 1):
-            raise ValueError("spectral radius cap must lie in (0, 1)")
 
 
-def synth_hankel(spec: LTISystemSpec, seed: int = 0,
-                 max_retries: int = 10) -> tuple[np.ndarray, np.ndarray]:
+def synth_hankel(spec: LTISystemSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Impulse response y_k = c^T A^k b, k = 1..d+t-1 (first sample skipped).
 
-    The state matrix is Gaussian rescaled to the spectral radius cap.  The
-    d x t Hankel matrix of the clean signal has rank <= order; draws whose
-    singular-value drop at the order is below 1e6 are rejected and redrawn.
-    Returns (y_true, y_noisy) with y_noisy = y_true + sigma * N(0, 1).
+    The state matrix is Gaussian rescaled to spectral radius
+    LTI_SPECTRAL_RADIUS.  The d x t Hankel matrix of the clean signal has
+    rank <= order; draws whose singular-value drop at the order is below 1e6
+    are rejected and redrawn, at most LTI_MAX_DRAWS in all.  Returns
+    (y_true, y_noisy) with y_noisy = y_true + sigma * N(0, 1).
     """
     rng = np.random.default_rng(seed)
     n = spec.d + spec.t - 1
-    for _ in range(max_retries):
+    for _ in range(LTI_MAX_DRAWS):
         a = rng.standard_normal((spec.order, spec.order))
         rho = np.max(np.abs(np.linalg.eigvals(a)))
         if rho == 0:
             continue
-        a *= spec.spectral_radius_cap / rho
+        a *= LTI_SPECTRAL_RADIUS / rho
         b = rng.standard_normal(spec.order)
         c = rng.standard_normal(spec.order)
         y = np.empty(n)

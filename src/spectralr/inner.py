@@ -33,6 +33,10 @@ SPARSE_PRUNE = 1e-14
 # scripts/sigma1_crossover.py times (sparse M cross over from about 144 on).
 DENSE_SIGMA1_MAX_SIDE = 128
 
+# Lanczos stops once the Ritz residual is at most SIGMA1_TOL times the Ritz
+# value: one level near round-off, so every certified gap means the same.
+SIGMA1_TOL = 1e-13
+
 
 @dataclass
 class DualCertificate:
@@ -66,7 +70,8 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class RegularizationParams:
-    """Cost parameter C, robust-loss width epsilon, and inner solve budgets."""
+    """Cost parameter C, robust-loss width epsilon, and inner solve budgets;
+    a bad one raises ValueError naming it."""
 
     c: float
     epsilon: float = 0.0
@@ -74,10 +79,14 @@ class RegularizationParams:
     inner_max_iters: int = 2000
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("C must be positive")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        for name, ok, what in (
+                ("c", 0 < self.c < np.inf, "positive and finite"),
+                ("epsilon", 0 <= self.epsilon < np.inf, "nonnegative and finite"),
+                ("inner_tol", 0 <= self.inner_tol < np.inf, "nonnegative and finite"),
+                ("inner_max_iters", isinstance(self.inner_max_iters, (int, np.integer))
+                 and self.inner_max_iters >= 1, "an integer >= 1")):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 # --------------------------------------------------------------------------
@@ -527,14 +536,14 @@ def sigma1_sq_dense(m) -> float:
     return float(np.linalg.eigvalsh(gram)[-1])
 
 
-def sigma1_sq_lanczos(m, tol: float = 1e-13) -> tuple[float, bool]:
+def sigma1_sq_lanczos(m) -> tuple[float, bool]:
     """Top eigenvalue of the smaller-side normal operator by ARPACK's Lanczos.
 
     The start vector is drawn from a fixed seed, so repeated calls agree bit
     for bit.  ARPACK accepts the Ritz value theta once its residual is at
-    most tol * |theta|.  Without convergence the largest converged Ritz value
-    (else the start vector's Rayleigh quotient) is returned with False; it is
-    a lower bound on sigma_1(M)^2.  Needs min(M.shape) >= 2.
+    most SIGMA1_TOL * |theta|.  Without convergence the largest converged
+    Ritz value (else the start vector's Rayleigh quotient) is returned with
+    False; it is a lower bound on sigma_1(M)^2.  Needs min(M.shape) >= 2.
     """
     d, t = m.shape
     n = min(d, t)
@@ -545,42 +554,41 @@ def sigma1_sq_lanczos(m, tol: float = 1e-13) -> tuple[float, bool]:
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        lam = spla.eigsh(op, k=1, which="LA", tol=tol, v0=v0,
+        lam = spla.eigsh(op, k=1, which="LA", tol=SIGMA1_TOL, v0=v0,
                          return_eigenvectors=False)[0]
         return float(lam), True
     except spla.ArpackNoConvergence as exc:
         return float(max(exc.eigenvalues, default=v0 @ matvec(v0) / (v0 @ v0))), False
 
 
-def top_singular_value_sq(m, tol: float = 1e-13) -> tuple[float, bool]:
+def top_singular_value_sq(m) -> tuple[float, bool]:
     """sigma_1(M)^2 and whether it is converged; M is CSC or a dense array.
 
     All-zero M gives (0.0, True).  When min(d, T) <= DENSE_SIGMA1_MAX_SIDE
     the value is the top eigenvalue of the dense smaller-side Gram, exact up
     to round-off, and the flag is always True.  Above that it comes from
-    Lanczos with relative residual tolerance tol; the flag is False when
-    ARPACK did not converge, and the value is then a lower bound.
+    Lanczos to relative residual SIGMA1_TOL, one level for every gap; the
+    flag is False when ARPACK did not converge (the value is a lower bound).
     """
     if not np.any(m.data if sp.issparse(m) else m):
         return 0.0, True
     if min(m.shape) <= DENSE_SIGMA1_MAX_SIDE:
         return sigma1_sq_dense(m), True
-    return sigma1_sq_lanczos(m, tol)
+    return sigma1_sq_lanczos(m)
 
 
-def duality_gap(u_mat: np.ndarray, cert: DualCertificate,
-                power_tol: float = 1e-13) -> GapReport:
+def duality_gap(u_mat: np.ndarray, cert: DualCertificate) -> GapReport:
     """Optimality gap 0.5*(sigma_1(M)^2 - ||U^T M||_F^2) of the current point.
 
     cert must come from evaluate_g at u_mat, so that cert.k = U^T M.
     sigma_1(M)^2 comes from top_singular_value_sq: exact on the dense Gram
-    for small M, by Lanczos to relative residual power_tol otherwise.  The
-    relative gap divides by max(1, |g|).  The gap is a point estimate; when
-    power_converged is False, sigma_1 is a lower bound and so is the gap.
+    for small M, else by Lanczos to SIGMA1_TOL, one level for every gap.
+    The relative gap divides by max(1, |g|).  The gap is a point estimate;
+    when power_converged is False, sigma_1 is a lower bound and so is the gap.
     """
     k = cert.k
     ut_m_sq = float(np.sum(k * k))
-    lam, converged = top_singular_value_sq(cert.m, power_tol)
+    lam, converged = top_singular_value_sq(cert.m)
     sigma1 = float(np.sqrt(lam))
     gap = 0.5 * (lam - ut_m_sq)
     rel = gap / max(1.0, abs(cert.g_value))

@@ -48,13 +48,20 @@ TCG_STOP_REASONS = (TCG_RESIDUAL, TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE,
 # Truncated CG stops as stalled once TCG_STALL_WINDOW consecutive steps fail
 # to bring the residual norm below TCG_STALL_FACTOR times its value at the
 # last step that did (gn at the start): near a solution the residual target
-# gn * min(kappa, gn**theta) falls below what an inexact Hessian-vector
-# product resolves.  On six small Hankel instances (100, 1/2) needed no more
+# (TCG_KAPPA below) falls below what an inexact Hessian-vector product
+# resolves.  On six small Hankel instances (100, 1/2) needed no more
 # outer iterations than running every pass to the d*r cap, and it leaves
 # passes that still halve their residual within 100 steps alone; the sweep,
 # and a wider one, are in CHANGES.md.
 TCG_STALL_WINDOW = 100
 TCG_STALL_FACTOR = 0.5
+
+# Truncated CG's residual target gn * min(TCG_KAPPA, gn**TCG_THETA), fixed at
+# the values of Absil, Baker and Gallivan (Found. Comput. Math. 2007): a pass
+# cuts the residual tenfold far from a solution, quadratically near one.
+TCG_KAPPA = 0.1
+TCG_THETA = 1.0
+MAX_LINE_SEARCH = 25  # Armijo trials per CG direction
 
 
 @dataclass(frozen=True)
@@ -63,32 +70,37 @@ class SolverConfig:
 
     grad_norm_tol is relative to the gradient norm at the starting point.
     tcg_max_iters = None means one truncated-CG pass per manifold dimension;
-    0 degenerates the trust-region step to the Cauchy point.
+    0 degenerates the trust-region step to the Cauchy point.  A bad field
+    raises ValueError naming it.  TCG_KAPPA, TCG_THETA, TCG_STALL_* and
+    MAX_LINE_SEARCH are module constants: no caller varied them.
     """
 
     max_outer_iters: int = 300
     grad_norm_tol: float = 1e-6
     armijo_c1: float = 1e-4
     armijo_backtrack: float = 0.5
-    max_line_search: int = 25
     tr_initial_radius: float = 1.0
     tr_max_radius: float = 100.0
     tcg_max_iters: int | None = None
-    tcg_kappa: float = 0.1
-    tcg_theta: float = 1.0
     cert_every: int = 0
 
     def __post_init__(self):
-        if self.max_outer_iters < 0 or self.max_line_search < 1:
-            raise ValueError("iteration budgets must be positive")
-        if not (0 < self.armijo_c1 < 0.5):
-            raise ValueError("armijo_c1 must lie in (0, 0.5)")
-        if not (0 < self.armijo_backtrack < 1):
-            raise ValueError("armijo_backtrack must lie in (0, 1)")
-        if self.tr_initial_radius <= 0 or self.tr_max_radius < self.tr_initial_radius:
-            raise ValueError("trust-region radii must satisfy 0 < initial <= max")
-        if self.grad_norm_tol < 0 or self.tcg_kappa <= 0 or self.tcg_theta <= 0:
-            raise ValueError("tolerances must be positive")
+        def count(value):
+            return isinstance(value, (int, np.integer)) and value >= 0
+
+        for name, ok, what in (
+                ("max_outer_iters", count(self.max_outer_iters), "an integer >= 0"),
+                ("cert_every", count(self.cert_every), "an integer >= 0"),
+                ("tcg_max_iters", self.tcg_max_iters is None or count(self.tcg_max_iters),
+                 "None or an integer >= 0"),
+                ("grad_norm_tol", 0 <= self.grad_norm_tol < np.inf, "nonnegative and finite"),
+                ("armijo_c1", 0 < self.armijo_c1 < 0.5, "in (0, 0.5)"),
+                ("armijo_backtrack", 0 < self.armijo_backtrack < 1, "in (0, 1)"),
+                ("tr_initial_radius", 0 < self.tr_initial_radius, "positive"),
+                ("tr_max_radius", self.tr_initial_radius <= self.tr_max_radius,
+                 "at least tr_initial_radius")):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -225,7 +237,7 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                 decrease = prev.g - s.g
                 if decrease > 0 and slope < 0:
                     alpha = min(alpha, 2.02 * decrease / (-slope))
-            for _ in range(cfg.max_line_search):
+            for _ in range(MAX_LINE_SEARCH):
                 candidate = retract(s.point, direction, alpha)
                 g_new, cert_new = problem.evaluate_g(candidate)
                 if not np.isfinite(g_new):
@@ -241,8 +253,7 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     return _minimize(problem, u0, cfg, step)
 
 
-def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
-                  theta: float, max_iters: int):
+def _truncated_cg(grad: TangentVector, hess, radius: float, max_iters: int):
     """Steihaug-Toint CG on the model <grad, xi> + <xi, H xi>/2, ||xi|| <= radius.
 
     Returns (step, stop, steps): steps counts Hessian-vector products and
@@ -252,7 +263,7 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
       step follows p to the boundary;
     - boundary: the next iterate would leave the trust region; the step
       stops on the boundary along p;
-    - residual: the residual norm reached gn * min(kappa, gn**theta);
+    - residual: the residual norm reached gn * min(TCG_KAPPA, gn**TCG_THETA);
     - stalled: the stall rule above TCG_STALL_WINDOW fired; the current
       iterate is returned, the best so far as CG iterates decrease the model;
     - cap: max_iters steps ran out;
@@ -285,7 +296,7 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, kappa: float,
     res = grad
     p = -grad
     rr = gn * gn
-    stop_res = gn * min(kappa, gn ** theta)
+    stop_res = gn * min(TCG_KAPPA, gn ** TCG_THETA)
     best, since_best = gn, 0
     for step in range(1, max_iters + 1):
         hp = hess(p)
@@ -336,14 +347,12 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                 s.point, s.euc_grad, problem.euc_hess_vec(s.point, tv.xi, s.cert), tv)
 
         try:
-            xi, tcg_stop, tcg_steps = _truncated_cg(
-                s.grad, hess, radius, cfg.tcg_kappa, cfg.tcg_theta, max_tcg)
+            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, hess, radius, max_tcg)
             if tcg_stop == TCG_NON_FINITE:
                 return _Move(s, stop=NUMERICAL_ERROR, tcg_steps=tcg_steps, tcg_stop=tcg_stop)
             model_dec = -(inner_product(s.grad, xi) + 0.5 * inner_product(xi, hess(xi)))
         except np.linalg.LinAlgError:
-            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, lambda tv: 0.0 * tv, radius,
-                                                    cfg.tcg_kappa, cfg.tcg_theta, 0)
+            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, lambda tv: 0.0 * tv, radius, 0)
             model_dec = -inner_product(s.grad, xi)
         step_norm = xi.norm
         moved = s

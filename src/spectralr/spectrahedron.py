@@ -56,20 +56,17 @@ class TangentVector:
 
     xi: np.ndarray
     base_checksum: int = field(repr=False)
-    horizontal: bool = False
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
-        return TangentVector(self.xi + other.xi, self.base_checksum,
-                             self.horizontal and other.horizontal)
+        return TangentVector(self.xi + other.xi, self.base_checksum)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         _check_same_base(self, other)
-        return TangentVector(self.xi - other.xi, self.base_checksum,
-                             self.horizontal and other.horizontal)
+        return TangentVector(self.xi - other.xi, self.base_checksum)
 
     def __mul__(self, a: float) -> "TangentVector":
-        return TangentVector(self.xi * a, self.base_checksum, self.horizontal)
+        return TangentVector(self.xi * a, self.base_checksum)
 
     __rmul__ = __mul__
 
@@ -161,7 +158,7 @@ def project_horizontal(point: ManifoldPoint, tv: TangentVector) -> TangentVector
     skew = u.T @ tv.xi - tv.xi.T @ u
     lam = _solve_lyapunov(u.T @ u, skew)
     xi = tv.xi - u @ lam
-    return TangentVector(xi, point.checksum, horizontal=True)
+    return TangentVector(xi, point.checksum)
 
 
 def retract(point: ManifoldPoint, tv: TangentVector, step: float = 1.0) -> ManifoldPoint:

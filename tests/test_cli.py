@@ -174,6 +174,29 @@ class TestInputBoundary:
         assert cli.main(["synth", *flags, "-o", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
 
+    def test_epsilon_only_for_robust_complete(self, tmp_path, capsys):
+        assert self.complete(tmp_path, "--synth", "d=4,T=5,r=2,frac=0.9",
+                             "--epsilon", "0.1") == 1
+        assert capsys.readouterr().err.startswith("error: unrecognized arguments: --epsilon")
+
+    def test_epsilon_rejected_under_l1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_solver", lambda *a: pytest.fail("solver ran"))
+        assert cli.main(["robust-complete", "--synth", "d=4,T=5,r=2,frac=0.9", "--loss", "l1",
+                         "--epsilon", "0.3", "--rank", "2", "--C", "1",
+                         "-o", str(tmp_path / "r")]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --epsilon: must be 0 under --loss l1, got 0.3")
+
+    def test_epsilon_under_eps_svr_solves(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["robust-complete", "--synth", "d=6,T=8,r=2,frac=0.6",
+                         "--loss", "eps-svr", "--epsilon", "0.1", "--rank", "2", "--C", "10",
+                         "--max-outer", "20", "-o", str(out)])
+        assert code in (0, 2)
+        assert "error" not in capsys.readouterr().err
+        config = json.loads((out / "summary.json").read_text())["config"]
+        assert (config["loss"], config["epsilon"]) == ("eps-svr", 0.1)
+
     def test_boundary_values_accepted(self, tmp_path, capsys):
         code = cli.main(["complete", "--synth", "d=4,T=5,r=2,frac=0.9", "--rank", "4",
                          "--C", "10", "--max-outer", "0", "--cert-every", "0",

@@ -113,6 +113,29 @@ def nonneg_enum_oracle(u, omega, y, c):
     return best
 
 
+class TestRegularizationParams:
+    @pytest.mark.parametrize("field, value", [
+        ("c", float("nan")),
+        ("c", float("inf")),
+        ("c", 0.0),
+        ("epsilon", float("nan")),
+        ("epsilon", -0.1),
+        ("inner_tol", -1.0),
+        ("inner_tol", float("inf")),
+        ("inner_max_iters", 0),
+        ("inner_max_iters", 2.5),
+    ])
+    def test_bad_field_named(self, field, value):
+        kwargs = {"c": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            RegularizationParams(**kwargs)
+
+    def test_boundary_values_accepted(self):
+        params = RegularizationParams(c=1e300, epsilon=0.0, inner_tol=0.0,
+                                      inner_max_iters=np.int64(1))
+        assert (params.inner_tol, params.inner_max_iters) == (0.0, 1)
+
+
 class TestSquareLoss:
     def test_no_overlap_gives_scaled_data(self):
         y = np.array([1.0, -2.0, 0.5])

@@ -125,7 +125,7 @@ class TestTruncatedCG:
         return TangentVector(self.a @ tv.xi + 1e-10 * e / np.linalg.norm(e), 0)
 
     def run(self, hess, max_iters=5000):
-        return solvers._truncated_cg(self.grad, hess, 1e6, 0.1, 1.0, max_iters)
+        return solvers._truncated_cg(self.grad, hess, 1e6, max_iters)
 
     def test_exact_model_stops_on_residual(self):
         xi, stop, steps = self.run(self.exact)
@@ -143,11 +143,10 @@ class TestTruncatedCG:
     def test_cap_boundary_and_negative_curvature(self):
         assert self.run(self.noisy, max_iters=10)[1:] == (solvers.TCG_CAP, 10)
         assert self.run(self.exact, max_iters=0)[1:] == (solvers.TCG_CAP, 1)
-        xi, stop, _ = solvers._truncated_cg(self.grad, self.exact, 1e-8, 0.1, 1.0, 100)
+        xi, stop, _ = solvers._truncated_cg(self.grad, self.exact, 1e-8, 100)
         assert stop == solvers.TCG_BOUNDARY
         assert xi.norm == pytest.approx(1e-8, rel=1e-12)
-        xi, stop, _ = solvers._truncated_cg(self.grad, lambda tv: -1.0 * tv, 1e-3,
-                                            0.1, 1.0, 100)
+        xi, stop, _ = solvers._truncated_cg(self.grad, lambda tv: -1.0 * tv, 1e-3, 100)
         assert stop == solvers.TCG_NEGATIVE_CURVATURE
         assert xi.norm == pytest.approx(1e-3, rel=1e-12)
 
@@ -408,3 +407,31 @@ class TestConfigValidation:
     def test_backtrack_in_unit_interval(self):
         with pytest.raises(ValueError):
             SolverConfig(armijo_backtrack=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("tcg_max_iters", -3),
+        ("tcg_max_iters", 2.0),
+        ("cert_every", -2),
+        ("grad_norm_tol", float("nan")),
+        ("grad_norm_tol", float("inf")),
+        ("grad_norm_tol", -1e-6),
+        ("max_outer_iters", 2.5),
+        ("max_outer_iters", -1),
+        ("tr_initial_radius", float("nan")),
+        ("tr_max_radius", float("nan")),
+    ])
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            SolverConfig(**{field: value})
+
+    def test_boundary_values_accepted(self):
+        cfg = SolverConfig(max_outer_iters=0, grad_norm_tol=0.0, tcg_max_iters=0,
+                           cert_every=np.int64(3))
+        assert (cfg.max_outer_iters, cfg.tcg_max_iters, cfg.cert_every) == (0, 0, 3)
+        assert SolverConfig(tcg_max_iters=None).tcg_max_iters is None
+
+    def test_fixed_constants_are_no_fields(self):
+        for name in ("max_line_search", "tcg_kappa", "tcg_theta"):
+            with pytest.raises(TypeError):
+                SolverConfig(**{name: 1})
+        assert (solvers.TCG_KAPPA, solvers.TCG_THETA, solvers.MAX_LINE_SEARCH) == (0.1, 1.0, 25)
