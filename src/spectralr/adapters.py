@@ -28,7 +28,6 @@ from .data import (
     ColumnSparseMatrix,
     antidiag_counts,
     antidiag_means,
-    antidiag_spread,
     hankel_matrix,
 )
 from .inner import (
@@ -374,7 +373,7 @@ class HankelAdapter(ProblemAdapter):
             u, self.problem.y_noisy, c, self.params.inner_tol,
             self.params.inner_max_iters, self.t, warm)
         x = z / antidiag_counts(self.d, self.t)
-        s_mat = antidiag_spread(x, self.d, self.t)
+        s_mat = hankel_matrix(x, self.d, self.t)
         k = u.T @ s_mat
         g = float(z @ self.problem.y_noisy - z @ z / (4.0 * c) - 0.5 * np.sum(k ** 2))
         nfft = inner.hankel_fft_len(z.size)

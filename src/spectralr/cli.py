@@ -257,11 +257,15 @@ def build_parser() -> _Parser:
 def _load_completion_data(args):
     if args.synth:
         spec = parse_kv_spec(args.synth, "--synth", ("d", "T", "r", "frac"))
+        outfrac, outmag = spec.get("outfrac", 0.0), spec.get("outmag", 10.0)
+        if not 0 <= outfrac <= 1:
+            raise CliError(f"--synth: outfrac must lie in [0, 1], got {outfrac!r}")
+        if not math.isfinite(outmag):
+            raise CliError(f"--synth: outmag must be finite, got {outmag!r}")
         synth = _synth_completion(spec, args.seed, "--synth")
         train, test = synth.train, synth.test
-        if spec.get("outfrac", 0.0) > 0:
-            train = _plant_outliers(train, spec["outfrac"], spec.get("outmag", 10.0),
-                                    args.seed)
+        if outfrac > 0:
+            train = _plant_outliers(train, outfrac, outmag, args.seed)
         return train, test
     if not args.data:
         raise CliError("one of --data or --synth is required")
@@ -492,6 +496,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_check_cert(args) -> int:
+    if not (math.isfinite(args.gap_tol) and args.gap_tol >= 0):
+        raise CliError(f"--gap-tol: must be nonnegative and finite, got {args.gap_tol!r}")
     path = os.path.join(args.model_dir, "model.npz")
     if not os.path.exists(path):
         raise CliError(f"model_dir: no model.npz under {args.model_dir!r}")

@@ -240,6 +240,8 @@ def synth_completion(d: int, t: int, rank: int, sample_fraction: float,
     """
     if not (0 < sample_fraction <= 1):
         raise ValueError("sample_fraction must be in (0, 1]")
+    if not (0 <= noise_sigma < np.inf):
+        raise ValueError(f"noise_sigma must be nonnegative and finite, got {noise_sigma!r}")
     rng = np.random.default_rng(seed)
     left = rng.standard_normal((d, rank))
     right = rng.standard_normal((t, rank))
@@ -282,7 +284,8 @@ def _antidiag_index(d: int, t: int) -> np.ndarray:
 
 
 def hankel_matrix(y: np.ndarray, d: int, t: int) -> np.ndarray:
-    """d x t Hankel matrix with H[i, j] = y[i + j]; y has length d + t - 1."""
+    """d x t Hankel matrix with H[i, j] = y[i + j]; y has length d + t - 1.
+    The adjoint of antidiag_sums: y[k] goes to every cell of anti-diagonal k."""
     y = np.asarray(y, dtype=float)
     if y.size != d + t - 1:
         raise ValueError(f"need len(y) = d + t - 1 = {d + t - 1}, got {y.size}")
@@ -294,11 +297,6 @@ def antidiag_sums(s: np.ndarray) -> np.ndarray:
     d, t = s.shape
     return np.bincount(_antidiag_index(d, t).ravel(), weights=s.ravel(),
                        minlength=d + t - 1)
-
-
-def antidiag_spread(v: np.ndarray, d: int, t: int) -> np.ndarray:
-    """Adjoint of antidiag_sums: place v[k] on every cell of anti-diagonal k."""
-    return np.asarray(v, dtype=float)[_antidiag_index(d, t)]
 
 
 def antidiag_counts(d: int, t: int) -> np.ndarray:
@@ -331,6 +329,9 @@ class LTISystemSpec:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be >= 1")
+        if not (0 <= self.noise_sigma < np.inf):
+            raise ValueError(
+                f"noise_sigma must be nonnegative and finite, got {self.noise_sigma!r}")
 
 
 def synth_hankel(spec: LTISystemSpec, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -62,26 +62,27 @@ TCG_STALL_FACTOR = 0.5
 TCG_KAPPA = 0.1
 TCG_THETA = 1.0
 MAX_LINE_SEARCH = 25  # Armijo trials per CG direction
+ARMIJO_C1 = 1e-4  # sufficient-decrease constant of the CG line search
+ARMIJO_BACKTRACK = 0.5  # step factor per rejected Armijo trial
+TR_INITIAL_RADIUS = 1.0
+TR_MAX_RADIUS = 100.0
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs shared by both solvers; trust-region fields are ignored by CG.
+    """Settings shared by both solvers.
 
-    grad_norm_tol is relative to the gradient norm at the starting point.
-    tcg_max_iters = None means one truncated-CG pass per manifold dimension;
-    0 degenerates the trust-region step to the Cauchy point.  A bad field
-    raises ValueError naming it.  TCG_KAPPA, TCG_THETA, TCG_STALL_* and
-    MAX_LINE_SEARCH are module constants: no caller varied them.
+    grad_norm_tol is relative to the gradient norm at the starting point;
+    cert_every > 0 records the duality gap every cert_every iterations.  A
+    bad field raises ValueError naming it.  The step rules are module
+    constants, because no caller varied them: TCG_KAPPA, TCG_THETA,
+    TCG_STALL_*, MAX_LINE_SEARCH, ARMIJO_C1, ARMIJO_BACKTRACK and
+    TR_*_RADIUS; truncated CG runs at most d*r steps, one per manifold
+    dimension.
     """
 
     max_outer_iters: int = 300
     grad_norm_tol: float = 1e-6
-    armijo_c1: float = 1e-4
-    armijo_backtrack: float = 0.5
-    tr_initial_radius: float = 1.0
-    tr_max_radius: float = 100.0
-    tcg_max_iters: int | None = None
     cert_every: int = 0
 
     def __post_init__(self):
@@ -91,14 +92,7 @@ class SolverConfig:
         for name, ok, what in (
                 ("max_outer_iters", count(self.max_outer_iters), "an integer >= 0"),
                 ("cert_every", count(self.cert_every), "an integer >= 0"),
-                ("tcg_max_iters", self.tcg_max_iters is None or count(self.tcg_max_iters),
-                 "None or an integer >= 0"),
-                ("grad_norm_tol", 0 <= self.grad_norm_tol < np.inf, "nonnegative and finite"),
-                ("armijo_c1", 0 < self.armijo_c1 < 0.5, "in (0, 0.5)"),
-                ("armijo_backtrack", 0 < self.armijo_backtrack < 1, "in (0, 1)"),
-                ("tr_initial_radius", 0 < self.tr_initial_radius, "positive"),
-                ("tr_max_radius", self.tr_initial_radius <= self.tr_max_radius,
-                 "at least tr_initial_radius")):
+                ("grad_norm_tol", 0 <= self.grad_norm_tol < np.inf, "nonnegative and finite")):
             if not ok:
                 raise ValueError(f"{name} must be {what}, got {getattr(self, name)!r}")
 
@@ -242,10 +236,10 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
                 g_new, cert_new = problem.evaluate_g(candidate)
                 if not np.isfinite(g_new):
                     return _Move(s, stop=NUMERICAL_ERROR)
-                if g_new <= s.g + cfg.armijo_c1 * alpha * slope:
+                if g_new <= s.g + ARMIJO_C1 * alpha * slope:
                     prev, prev_dir, prev_alpha = s, direction, alpha
                     return _Move(_evaluate(problem, candidate, g_new, cert_new), alpha)
-                alpha *= cfg.armijo_backtrack
+                alpha *= ARMIJO_BACKTRACK
             direction = -s.grad
             prev_alpha = None
         return None
@@ -256,8 +250,11 @@ def solve_cg(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
 def _truncated_cg(grad: TangentVector, hess, radius: float, max_iters: int):
     """Steihaug-Toint CG on the model <grad, xi> + <xi, H xi>/2, ||xi|| <= radius.
 
-    Returns (step, stop, steps): steps counts Hessian-vector products and
-    stop is one of TCG_STOP_REASONS.  The rules, checked in each CG step:
+    Returns (step, stop, steps, model_dec): steps counts Hessian-vector
+    products, stop is one of TCG_STOP_REASONS, and model_dec is the model
+    decrease -(<grad, xi> + <xi, H xi>/2) at the step, read off the residual
+    r = grad + H xi that CG carries as -(<grad, xi> + <r, xi>)/2, so it costs
+    no further product.  The rules, checked in each CG step:
 
     - negative_curvature: the search direction p has <p, H p> <= 0; the
       step follows p to the boundary;
@@ -267,12 +264,8 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, max_iters: int):
     - stalled: the stall rule above TCG_STALL_WINDOW fired; the current
       iterate is returned, the best so far as CG iterates decrease the model;
     - cap: max_iters steps ran out;
-    - non_finite: a curvature <p, H p> is not finite; the step returned
-      must not be used.
-
-    max_iters = 0 gives the Cauchy point, the model's minimizer along -grad
-    within the radius: stop negative_curvature or boundary when it lies on
-    the boundary, non_finite on a non-finite curvature, cap otherwise.
+    - non_finite: a curvature <p, H p> is not finite, or the product raised
+      LinAlgError; the step and model_dec returned must not be used.
     """
 
     def boundary_tau(xi, p):
@@ -283,15 +276,10 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, max_iters: int):
         disc = max(b * b - 4.0 * a * c, 0.0)
         return (-b + np.sqrt(disc)) / (2.0 * a)
 
+    def done(xi, res, stop, steps):
+        return xi, stop, steps, -0.5 * (inner_product(grad, xi) + inner_product(res, xi))
+
     gn = grad.norm
-    if max_iters == 0:
-        curv = inner_product(grad, hess(grad))
-        if not np.isfinite(curv):
-            return 0.0 * grad, TCG_NON_FINITE, 1
-        if curv <= 0:
-            return -(radius / gn) * grad, TCG_NEGATIVE_CURVATURE, 1
-        tau = min(gn * gn / curv, radius / gn)
-        return -tau * grad, TCG_BOUNDARY if tau >= radius / gn - 1e-15 else TCG_CAP, 1
     xi = 0.0 * grad
     res = grad
     p = -grad
@@ -299,45 +287,52 @@ def _truncated_cg(grad: TangentVector, hess, radius: float, max_iters: int):
     stop_res = gn * min(TCG_KAPPA, gn ** TCG_THETA)
     best, since_best = gn, 0
     for step in range(1, max_iters + 1):
-        hp = hess(p)
+        try:
+            hp = hess(p)
+        except np.linalg.LinAlgError:
+            return xi, TCG_NON_FINITE, step, np.nan
         curv = inner_product(p, hp)
         if not np.isfinite(curv):
-            return xi, TCG_NON_FINITE, step
+            return xi, TCG_NON_FINITE, step, np.nan
         if curv <= 0:
-            return xi + boundary_tau(xi, p) * p, TCG_NEGATIVE_CURVATURE, step
+            tau = boundary_tau(xi, p)
+            return done(xi + tau * p, res + tau * hp, TCG_NEGATIVE_CURVATURE, step)
         alpha = rr / curv
         xi_next = xi + alpha * p
         if np.sqrt(inner_product(xi_next, xi_next)) >= radius:
-            return xi + boundary_tau(xi, p) * p, TCG_BOUNDARY, step
+            tau = boundary_tau(xi, p)
+            return done(xi + tau * p, res + tau * hp, TCG_BOUNDARY, step)
         xi = xi_next
         res = res + alpha * hp
         rr_new = inner_product(res, res)
         res_norm = np.sqrt(rr_new)
         if res_norm <= stop_res:
-            return xi, TCG_RESIDUAL, step
+            return done(xi, res, TCG_RESIDUAL, step)
         if res_norm < TCG_STALL_FACTOR * best:
             best, since_best = res_norm, 0
         else:
             since_best += 1
             if since_best >= TCG_STALL_WINDOW:
-                return xi, TCG_STALLED, step
+                return done(xi, res, TCG_STALLED, step)
         p = -res + (rr_new / rr) * p
         rr = rr_new
-    return xi, TCG_CAP, max_iters
+    return done(xi, res, TCG_CAP, max_iters)
 
 
 def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
     """Riemannian trust region with a truncated-CG subproblem, unit step size.
 
-    Candidates are accepted on the usual ratio test (rho > 0.1); the radius
-    shrinks at rho < 0.25 and grows after boundary hits with rho > 0.75, and
-    the step stalls once it is below 1e-16.  If the Hessian system of the
-    problem fails, the iteration falls back to the Cauchy point.  A
-    non-finite candidate g or truncated-CG curvature is a numerical error.
-    Each record carries its truncated-CG step count and stop reason.
+    Candidates are accepted on the usual ratio test (rho > 0.1), with the
+    model decrease that truncated CG returns; the radius starts at
+    TR_INITIAL_RADIUS, shrinks at rho < 0.25, grows up to TR_MAX_RADIUS after
+    boundary hits with rho > 0.75, and the step stalls once it is below
+    1e-16.  A non-finite candidate g, or a truncated-CG non_finite stop (a
+    non-finite curvature, or a LinAlgError from the problem's Hessian
+    system), is a numerical error at the unchanged point.  Each record
+    carries its truncated-CG step count and stop reason.
     """
-    radius = cfg.tr_initial_radius
-    max_tcg = cfg.tcg_max_iters if cfg.tcg_max_iters is not None else u0.d * u0.r
+    radius = TR_INITIAL_RADIUS
+    max_tcg = u0.d * u0.r
 
     def step(s: _State):
         nonlocal radius
@@ -346,14 +341,9 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
             return riemannian_hess_vec(
                 s.point, s.euc_grad, problem.euc_hess_vec(s.point, tv.xi, s.cert), tv)
 
-        try:
-            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, hess, radius, max_tcg)
-            if tcg_stop == TCG_NON_FINITE:
-                return _Move(s, stop=NUMERICAL_ERROR, tcg_steps=tcg_steps, tcg_stop=tcg_stop)
-            model_dec = -(inner_product(s.grad, xi) + 0.5 * inner_product(xi, hess(xi)))
-        except np.linalg.LinAlgError:
-            xi, tcg_stop, tcg_steps = _truncated_cg(s.grad, lambda tv: 0.0 * tv, radius, 0)
-            model_dec = -inner_product(s.grad, xi)
+        xi, tcg_stop, tcg_steps, model_dec = _truncated_cg(s.grad, hess, radius, max_tcg)
+        if tcg_stop == TCG_NON_FINITE:
+            return _Move(s, stop=NUMERICAL_ERROR, tcg_steps=tcg_steps, tcg_stop=tcg_stop)
         step_norm = xi.norm
         moved = s
         if model_dec > 0 and step_norm > 0:
@@ -370,7 +360,7 @@ def solve_tr(problem, u0: ManifoldPoint, cfg: SolverConfig) -> SolveResult:
             if rho < 0.25:
                 radius *= 0.25
             elif rho > 0.75 and tcg_stop in (TCG_BOUNDARY, TCG_NEGATIVE_CURVATURE):
-                radius = min(2.0 * radius, cfg.tr_max_radius)
+                radius = min(2.0 * radius, TR_MAX_RADIUS)
         else:
             radius *= 0.25
         return _Move(moved, step_norm if moved is not s else 0.0,

@@ -145,6 +145,18 @@ class TestInputBoundary:
         ("complete", "d=4,T=5,r=2,frac=1.5", ["--rank", "2", "--C", "1"],
          "--synth: sample_fraction must be in (0, 1]"),
         ("hankel", "r0=0,d=5,T=5", ["--rank", "1", "--C", "1"], "--synth: order must be >= 1"),
+        ("hankel", "r0=3,d=10,T=10,sigma=nan", ["--rank", "2", "--C", "1"],
+         "--synth: noise_sigma must be nonnegative and finite, got nan"),
+        ("complete", "d=20,T=25,r=2,frac=0.6,sigma=-0.3", ["--rank", "2", "--C", "1"],
+         "--synth: noise_sigma must be nonnegative and finite, got -0.3"),
+        ("robust-complete", "d=20,T=25,r=2,frac=0.6,outfrac=0.1,outmag=inf",
+         ["--rank", "2", "--C", "1"], "--synth: outmag must be finite, got inf"),
+        ("robust-complete", "d=20,T=25,r=2,frac=0.6,outfrac=-0.5", ["--rank", "2", "--C", "1"],
+         "--synth: outfrac must lie in [0, 1], got -0.5"),
+        ("complete", "d=20,T=25,r=2,frac=0.6,outfrac=1.5", ["--rank", "2", "--C", "1"],
+         "--synth: outfrac must lie in [0, 1], got 1.5"),
+        ("complete", "d=20,T=25,r=2,frac=0.6,outfrac=nan", ["--rank", "2", "--C", "1"],
+         "--synth: outfrac must lie in [0, 1], got nan"),
     ])
     def test_numeric_flags_checked_before_solving(self, tmp_path, capsys, monkeypatch,
                                                   command, synth, flags, message):
@@ -169,10 +181,13 @@ class TestInputBoundary:
         (["--hankel", "r0=0,d=5,T=5"], "--hankel: order must be >= 1"),
         (["--completion", "d=4,T=5,r=2,frac=0"], "--completion: sample_fraction"),
         (["--completion", "d=4,T=5,r=2,frac=0.5", "--seed", "-3"], "--seed: "),
+        (["--hankel", "r0=3,d=10,T=10,sigma=nan"], "--hankel: noise_sigma must be "),
+        (["--completion", "d=4,T=5,r=2,frac=0.5,sigma=-0.3"], "--completion: noise_sigma "),
     ])
     def test_synth_specs_checked(self, tmp_path, capsys, flags, message):
         assert cli.main(["synth", *flags, "-o", str(tmp_path / "s")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert list(tmp_path.rglob("*.txt")) == []
 
     def test_epsilon_only_for_robust_complete(self, tmp_path, capsys):
         assert self.complete(tmp_path, "--synth", "d=4,T=5,r=2,frac=0.9",
@@ -430,6 +445,17 @@ class TestCheckCert:
         monkeypatch.setattr(spla, "eigsh", no_convergence)
         assert cli.main(["check-cert", str(tmp_path)]) == 2
         assert "power_converged=false" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("gap_tol", ["nan", "-1", "inf"])
+    def test_bad_gap_tol_rejected(self, tmp_path, capsys, gap_tol):
+        # the model itself certifies (gap 0), so only the flag can fail
+        u = np.array([[1.0], [0.0]])
+        m = np.diag([3.0, 0.0])
+        cert = inner.DualCertificate(kind="completion", g_value=1.0, m=m, k=u.T @ m, z=None)
+        cli.save_model(os.path.join(tmp_path, "model.npz"), u, cert)
+        assert cli.main(["check-cert", str(tmp_path), "--gap-tol", gap_tol]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: --gap-tol: must be nonnegative and finite, got ")
 
     def test_corrupted_norm_rejected(self, tmp_path, capsys):
         u = 2.0 * np.eye(2)

@@ -12,7 +12,6 @@ from spectralr.data import (
     TripletFormatError,
     antidiag_counts,
     antidiag_means,
-    antidiag_spread,
     antidiag_sums,
     hankel_matrix,
     load_triplets,
@@ -275,6 +274,11 @@ class TestSynthCompletion:
         out = synth_completion(6, 6, rank=2, sample_fraction=0.8, seed=3, nonneg=True)
         assert np.min(out.truth.dense()) >= 0.0
 
+    @pytest.mark.parametrize("sigma", [-0.3, float("nan"), float("inf")])
+    def test_bad_noise_sigma_named(self, sigma):
+        with pytest.raises(ValueError, match="^noise_sigma must be nonnegative and finite"):
+            synth_completion(6, 6, rank=2, sample_fraction=0.8, noise_sigma=sigma)
+
 
 class TestHankelStructure:
     def test_hankel_matrix_layout(self):
@@ -288,7 +292,7 @@ class TestHankelStructure:
         s = rng.standard_normal((4, 6))
         v = rng.standard_normal(9)
         lhs = antidiag_sums(s) @ v
-        rhs = np.tensordot(s, antidiag_spread(v, 4, 6), axes=2)
+        rhs = np.tensordot(s, hankel_matrix(v, 4, 6), axes=2)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_means_on_exact_hankel(self):
@@ -334,6 +338,11 @@ class TestSynthHankel:
         spec = LTISystemSpec(5, 30, 30, noise_sigma=0.0)
         y, _ = synth_hankel(spec, seed=3)
         assert abs(y[-1]) < abs(np.max(np.abs(y[:5])))
+
+    @pytest.mark.parametrize("sigma", [-0.05, float("nan"), float("inf")])
+    def test_bad_noise_sigma_named(self, sigma):
+        with pytest.raises(ValueError, match="^noise_sigma must be nonnegative and finite"):
+            LTISystemSpec(3, 10, 10, noise_sigma=sigma)
 
 
 class TestSplit:

@@ -14,7 +14,6 @@ from spectralr import inner, solvers
 from spectralr.adapters import HankelAdapter, HankelProblem, make_completion_adapter
 from spectralr.data import (
     antidiag_counts,
-    antidiag_spread,
     antidiag_sums,
     hankel_matrix,
     synth_completion,
@@ -43,7 +42,7 @@ def rng(seed=0):
 def dense_hankel_gram_apply(u, c, counts, d, t, z):
     """(I/(2C) + H* U U^T H) z through the d x t equal-share matrix of z;
     the oracle of the FFT apply."""
-    s = antidiag_spread(z / counts, d, t)
+    s = hankel_matrix(z / counts, d, t)
     return antidiag_sums(u @ (u.T @ s)) / counts + z / (2.0 * c)
 
 
@@ -459,7 +458,7 @@ class TestHankelInner:
         counts = antidiag_counts(d, t)
         rhs_ref = -antidiag_sums(v @ cert.k + u @ (v.T @ cert.m)) / counts
         assert np.linalg.norm(rhs - rhs_ref) <= 1e-12 * np.linalg.norm(rhs_ref)
-        hv_ref = inner.assemble_hess_vec(u, v, cert, antidiag_spread(zdot / counts, d, t))
+        hv_ref = inner.assemble_hess_vec(u, v, cert, hankel_matrix(zdot / counts, d, t))
         assert np.linalg.norm(hv - hv_ref) <= 1e-12 * np.linalg.norm(hv_ref)
 
     def test_directional_residual_and_one_apply_per_step(self, monkeypatch):
@@ -527,13 +526,13 @@ class TestHankelInner:
             (np.arange(3)[:, None] + np.arange(4)[None, :]).ravel()).astype(float)
 
         def value(z):
-            s = antidiag_spread(z / counts, 3, 4)
+            s = hankel_matrix(z / counts, 3, 4)
             return z @ y - z @ z / (4 * c) - 0.5 * np.sum((u.T @ s) ** 2)
 
         prev = -np.inf
         for iters in (1, 2, 4, 8, 32, 128):
             z, _ = solve_hankel(u, y, c, 0.0, iters, t=4)
-            s = antidiag_spread(z / counts, 3, 4)
+            s = hankel_matrix(z / counts, 3, 4)
             assert np.allclose(antidiag_sums(s), z, atol=1e-12)
             val = value(z)
             assert val >= prev - 1e-10
